@@ -4,8 +4,7 @@ Commands print short text reports by default; --json switches to a JSON
 document (sorted keys, two-space indent, trailing newline) carrying the
 tool name and version, byte-stable across runs.  Exit status 0 means the
 requested checks all passed, 1 means some verified identity failed, 2
-means the input could not be used.  The BIRMOD_THREADS environment
-variable caps the law-suite workers; an explicit --threads wins.
+means the input could not be used.
 """
 
 import argparse
@@ -93,8 +92,7 @@ def cmd_apply(args):
 
 def cmd_laws(args):
     ks = tuple(int(p) for p in args.ks.split(",") if p.strip())
-    report = check_laws(args.suite, args.max_n, args.max_N, ks,
-                        threads=args.threads)
+    report = check_laws(args.suite, args.max_n, args.max_N, ks)
     if args.json:
         _emit_json(report.to_json())
     else:
@@ -229,7 +227,6 @@ def build_parser():
     p.add_argument("--max-N", type=int, default=6, dest="max_N")
     p.add_argument("--ks", default="2,3",
                    help="comma separated operator indices")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_laws)
 

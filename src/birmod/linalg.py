@@ -135,14 +135,6 @@ class SparseMat:
             self._ech = Echelon(self.rows, self.ncols)
         return self._ech
 
-    def to_coo_text(self):
-        """Coordinate-list dump: one "row col value" line per entry."""
-        out = []
-        for i, r in enumerate(self.rows):
-            for c in sorted(r):
-                out.append("%d %d %s" % (i, c, r[c]))
-        return "\n".join(out) + ("\n" if out else "")
-
 
 def rank_q(mat):
     """Rank of the matrix over Q (exact)."""

@@ -17,24 +17,25 @@ identities precisely on symbols annihilated by scaling; those instances
 are genuine and are reported in an informational section, never asserted
 away.
 
-Internally entries are interned to small integers so the hot loops sort
-and hash machine ints rather than rationals; interned tuples are ordered
-by intern id, a valid canonical form for equality testing, and entries
-are decoded and re-sorted by value on the way out.
+Internally a symbol is coded at a level L, a positive integer that every
+entry denominator divides: the entry a/d becomes the int a*L/d in
+[0, L).  The code is monotone, so a sorted symbol codes to a sorted int
+tuple and decodes without re-sorting.  Scaling by k is k*i mod L; the
+lift by k is the range i/k, i/k + L/k, ... below L, exact as long as k
+divides L and every lifted code; the torsion shift by k adds multiples
+of L/k.  Each public operator picks the least level its output needs,
+and each law cell picks one level that holds both sides of every law it
+checks, so the two sides compare as plain dicts of int tuples.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from .qz import QZ, preimages, torsion
+from .qz import QZ
 from .symbols import (FormalSum, Symbol, canonicalize, enumerate_symbols,
-                      minus_canonicalize, relation_rows, relation_matrix,
-                      TWO_TORSION)
+                      minus_canonicalize, relation_matrix, TWO_TORSION)
 
 MAX_STORED_FAILURES = 50
 
@@ -44,132 +45,71 @@ def _check_k(k):
         raise ValueError("operator index must be a positive integer")
 
 
-# entry interning; derived tables may race benignly, the id table may not
+# level codec: dicts {coded entry tuple: coefficient}, all-zero tuples kept
 
-_IDS = {}
-_VALS = []
-_ILOCK = threading.Lock()
-
-
-def _iid(a):
-    i = _IDS.get(a)
-    if i is None:
-        with _ILOCK:
-            i = _IDS.get(a)
-            if i is None:
-                i = len(_VALS)
-                _VALS.append(a)
-                _IDS[a] = i
-    return i
+def _level(*sums):
+    """lcm of the symbol moduli, the least level holding every entry."""
+    return lcm(*[s.modulus for x in sums for s in x.terms])
 
 
-_ZID = _iid(QZ(0))
-_MUL = {}
-_PRE = {}
-_TOR = {}
-_ADD = {}
+def _enc(s, L):
+    return tuple(a.numerator * (L // a.denominator) for a in s)
 
 
-def _mul_id(k, i):
-    r = _MUL.get((k, i))
-    if r is None:
-        r = _iid(_VALS[i] * k)
-        _MUL[(k, i)] = r
-    return r
+def _raw_of(fs, L):
+    return {_enc(s, L): c for s, c in fs.terms.items()}
 
 
-def _pre_ids(k, i):
-    r = _PRE.get((k, i))
-    if r is None:
-        r = tuple(_iid(p) for p in preimages(_VALS[i], k))
-        _PRE[(k, i)] = r
-    return r
+def _lifts(k, L, i):
+    """The k preimages of the code i under scaling by k; k divides L and i."""
+    return range(i // k, L, L // k)
 
 
-def _tor_ids(k):
-    r = _TOR.get(k)
-    if r is None:
-        r = tuple(_iid(t) for t in torsion(k))
-        _TOR[k] = r
-    return r
-
-
-def _add_id(i, j):
-    r = _ADD.get((i, j))
-    if r is None:
-        r = _iid(_VALS[i] + _VALS[j])
-        _ADD[(i, j)] = r
-    return r
-
-
-def _enc(entries):
-    return tuple(sorted(_iid(a) for a in entries))
-
-
-def _dec(t):
-    return canonicalize(_VALS[i] for i in t)
-
-
-# raw pipelines: dicts {interned entry tuple: coefficient}, no drop
-
-def _raw_of(fs):
-    return {_enc(s): c for s, c in fs.terms.items()}
-
-
-def _raw_sigma(k, sums):
+def _raw_sigma(k, L, sums):
     out = {}
     for t, c in sums.items():
-        key = tuple(sorted(_mul_id(k, i) for i in t))
+        key = tuple(sorted(k * i % L for i in t))
         out[key] = out.get(key, 0) + c
     return {t: c for t, c in out.items() if c}
 
 
-def _raw_rho(k, sums):
+def _raw_rho(k, L, sums):
     out = {}
     for t, c in sums.items():
-        for combo in product(*[_pre_ids(k, i) for i in t]):
+        for combo in product(*[_lifts(k, L, i) for i in t]):
             key = tuple(sorted(combo))
             out[key] = out.get(key, 0) + c
     return {t: c for t, c in out.items() if c}
 
 
-def _raw_e(k, sums):
-    shifts = _tor_ids(k)
+def _raw_e(k, L, sums):
+    shifts = range(0, L, L // k)
     out = {}
     for t, c in sums.items():
         for combo in product(shifts, repeat=len(t)):
-            key = tuple(sorted(_add_id(i, s) for i, s in zip(t, combo)))
+            key = tuple(sorted((i + s) % L for i, s in zip(t, combo)))
             out[key] = out.get(key, 0) + c
     return {t: c for t, c in out.items() if c}
 
 
-def _project(sums):
-    return {t: c for t, c in sums.items() if any(i != _ZID for i in t)}
-
-
-def _wrap(sums, arity, rational):
-    return FormalSum({Symbol(_dec(t)): c for t, c in _project(sums).items()},
-                     arity, rational)
-
-
-def _raw_json(sums):
-    out = []
-    for t, c in sums.items():
-        out.append({"c": str(c), "s": [str(a) for a in _dec(t)]})
-    out.sort(key=lambda item: item["s"])
-    return out
+def _wrap(sums, L, arity, rational):
+    """Decode to a formal sum, dropping the all-zero tuple."""
+    return FormalSum({Symbol(QZ(i, L) for i in t): c
+                      for t, c in sums.items() if any(t)}, arity, rational)
 
 
 def sigma_op(k, x):
     """Entrywise scaling by k; a symbol dies iff all scaled entries vanish."""
     _check_k(k)
-    return _wrap(_raw_sigma(k, _raw_of(x)), x.arity, x.rational)
+    L = _level(x)
+    return _wrap(_raw_sigma(k, L, _raw_of(x, L)), L, x.arity, x.rational)
 
 
 def rho_op(k, x):
     """Sum over all k^arity entrywise preimage tuples."""
     _check_k(k)
-    return _wrap(_raw_rho(k, _raw_of(x)), x.arity, x.rational)
+    L = _level(x) * k
+    return _wrap(_raw_rho(k, L, _raw_of(x, L)), L, x.arity, x.rational)
 
 
 def rho_hat_op(k, x):
@@ -183,13 +123,14 @@ def rho_hat_op(k, x):
 def e_op(k, x):
     """Sum over all k^arity torsion-shift tuples of the shifted symbol."""
     _check_k(k)
-    return _wrap(_raw_e(k, _raw_of(x)), x.arity, x.rational)
+    L = lcm(k, _level(x))
+    return _wrap(_raw_e(k, L, _raw_of(x, L)), L, x.arity, x.rational)
 
 
-def _nabla_tuples(ell, tx_ids, ty_ids):
+def _nabla_tuples(ell, L, tx, ty):
     out = {}
-    for lift in product(*[_pre_ids(ell, i) for i in tx_ids]):
-        key = tuple(sorted(lift + ty_ids))
+    for lift in product(*[_lifts(ell, L, i) for i in tx]):
+        key = tuple(sorted(lift + ty))
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -204,17 +145,17 @@ def nabla_op(ell, x, y, strict=True):
     """
     if not isinstance(ell, int) or ell < 2:
         raise ValueError("product level must be an integer >= 2")
+    L = _level(x, y) * ell
     out = {}
     for sy, cy in y.terms.items():
         if strict and any(ell % a.order for a in sy):
             raise ValueError("entry order does not divide the level")
-        ty = tuple(_iid(a) for a in sy)
+        ty = _enc(sy, L)
         for sx, cx in x.terms.items():
-            tx = tuple(_iid(a) for a in sx)
-            for t, m in _nabla_tuples(ell, tx, ty).items():
+            for t, m in _nabla_tuples(ell, L, _enc(sx, L), ty).items():
                 out[t] = out.get(t, 0) + m * cx * cy
     arity = x.arity + y.arity if out else 0
-    return _wrap(out, arity, x.rational or y.rational)
+    return _wrap(out, L, arity, x.rational or y.rational)
 
 
 class DeltaSum:
@@ -351,75 +292,44 @@ class OperatorReport:
         }
 
 
-def _thread_count(threads):
-    if threads is None:
-        threads = os.environ.get("BIRMOD_THREADS", "1")
-    try:
-        return max(1, int(threads))
-    except ValueError:
-        return 1
-
-
-def _run_cells(worker, cells, threads):
-    if threads <= 1:
-        return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, cells))
-
-
-def _merge_cells(results, law_names):
-    laws = {name: LawCheck(name) for name in law_names}
-    info_rows = []
-    for cell_laws, cell_info in results:
-        for name, items in cell_laws.items():
-            chk = laws[name]
-            for ok, payload in items:
-                chk.record(ok, payload)
-        info_rows.extend(cell_info)
-    return list(laws.values()), info_rows
-
-
-def _lemma48_cell(args):
-    n, N, ks = args
-    results = {name: [] for name in _LEMMA48_LAWS}
-    info = []
+def _lemma48_cell(laws, info, n, N, ks):
+    # two stacked lifts by k and l reach denominators N*k*l, which divide L
+    L = N * lcm(*ks) ** 2
     for sym in enumerate_symbols(n, N):
-        t = _enc(sym)
+        t = _enc(sym, L)
         x = {t: 1}
         tag = {"n": n, "N": N, "symbol": sym.to_json()}
-        sig = {k: _raw_sigma(k, x) for k in ks}
-        rho = {k: _raw_rho(k, x) for k in ks}
+        sig = {k: _raw_sigma(k, L, x) for k in ks}
+        rho = {k: _raw_rho(k, L, x) for k in ks}
         for k in ks:
             for l in ks:
-                lhs = _raw_sigma(k, sig[l])
-                rhs = _raw_sigma(k * l, x)
-                results["scale_multiplicative"].append(
-                    (lhs == rhs, {**tag, "k": k, "l": l}))
-                lhs = _raw_rho(k, rho[l])
-                rhs = _raw_rho(k * l, x)
-                results["lift_multiplicative"].append(
-                    (lhs == rhs, {**tag, "k": k, "l": l}))
+                lhs = _raw_sigma(k, L, sig[l])
+                rhs = _raw_sigma(k * l, L, x)
+                laws["scale_multiplicative"].record(
+                    lhs == rhs, {**tag, "k": k, "l": l})
+                lhs = _raw_rho(k, L, rho[l])
+                rhs = _raw_rho(k * l, L, x)
+                laws["lift_multiplicative"].record(
+                    lhs == rhs, {**tag, "k": k, "l": l})
                 if gcd(k, l) == 1:
-                    lhs = _raw_sigma(k, rho[l])
-                    rhs = _raw_rho(l, sig[k])
-                    results["scale_lift_commute"].append(
-                        (lhs == rhs, {**tag, "k": k, "l": l}))
+                    lhs = _raw_sigma(k, L, rho[l])
+                    rhs = _raw_rho(l, L, sig[k])
+                    laws["scale_lift_commute"].record(
+                        lhs == rhs, {**tag, "k": k, "l": l})
         for k in ks:
-            lhs = _raw_rho(k, sig[k])
-            rhs = _raw_e(k, x)
-            results["lift_scale_torsion_shift"].append(
-                (lhs == rhs, {**tag, "k": k}))
-            lhs = _raw_sigma(k, rho[k])
+            lhs = _raw_rho(k, L, sig[k])
+            rhs = _raw_e(k, L, x)
+            laws["lift_scale_torsion_shift"].record(
+                lhs == rhs, {**tag, "k": k})
+            lhs = _raw_sigma(k, L, rho[k])
             rhs = {t: k ** n}
-            results["scale_lift_scalar"].append(
-                (lhs == rhs, {**tag, "k": k}))
+            laws["scale_lift_scalar"].record(lhs == rhs, {**tag, "k": k})
             xq = FormalSum.of(sym, rational=True)
             back = sigma_op(k, rho_hat_op(k, xq))
-            results["averaged_lift_section"].append(
-                (back == xq, {**tag, "k": k}))
+            laws["averaged_lift_section"].record(back == xq, {**tag, "k": k})
         # the projected composites genuinely deviate on annihilated symbols
         for k in ks:
-            if not any(_project(sig[k])):
+            if not any(any(u) for u in sig[k]):
                 xs = FormalSum.of(sym)
                 for l in ks:
                     if gcd(k, l) == 1:
@@ -437,7 +347,6 @@ def _lemma48_cell(args):
                                  "law": "lift_scale_torsion_shift",
                                  "projected_lhs": lp.to_json(),
                                  "projected_rhs": rp.to_json()})
-    return results, info
 
 
 _LEMMA48_LAWS = (
@@ -450,34 +359,36 @@ _LEMMA48_LAWS = (
 )
 
 
-def _ringhom_cell(args):
-    (n1, m1, n2, m2, ks) = args
-    results = {"lift_product_hom": []}
-    for sx in enumerate_symbols(n1, m1):
-        tx = _enc(sx)
-        for sy in enumerate_symbols(n2, m2):
-            ty = _enc(sy)
+def _ringhom_cell(law, n1, m1, n2, m2, ks):
+    # a lift by k and a product at level ell reach lcm(m1, m2)*k*ell
+    L = lcm(m1, m2) * lcm(*ks) ** 2
+
+    def coded(n, m):
+        out = []
+        for s in enumerate_symbols(n, m):
+            t = _enc(s, L)
+            out.append((s, t, {k: _raw_rho(k, L, {t: 1}) for k in ks}))
+        return out
+
+    ys = coded(n2, m2)
+    for sx, tx, rx in coded(n1, m1):
+        for sy, ty, ry in ys:
             for ell in ks:
-                prod_xy = _nabla_tuples(ell, tx, ty)
+                prod_xy = _nabla_tuples(ell, L, tx, ty)
                 for k in ks:
-                    lhs = _raw_rho(k, prod_xy)
+                    lhs = _raw_rho(k, L, prod_xy)
                     rhs = {}
-                    for u, cu in _raw_rho(k, {tx: 1}).items():
-                        for v, cv in _raw_rho(k, {ty: 1}).items():
-                            for t, m in _nabla_tuples(ell, u, v).items():
+                    for u, cu in rx[k].items():
+                        for v, cv in ry[k].items():
+                            for t, m in _nabla_tuples(ell, L, u, v).items():
                                 rhs[t] = rhs.get(t, 0) + m * cu * cv
-                    results["lift_product_hom"].append(
-                        (lhs == rhs,
-                         {"nx": n1, "mx": m1, "ny": n2, "my": m2,
-                          "k": k, "l": ell, "x": sx.to_json(),
-                          "y": sy.to_json()}))
-    return results, []
+                    law.record(lhs == rhs,
+                               {"nx": n1, "mx": m1, "ny": n2, "my": m2,
+                                "k": k, "l": ell, "x": sx.to_json(),
+                                "y": sy.to_json()})
 
 
-def _coalg_cell(args):
-    n, N, ks = args
-    results = {"scale_coproduct_hom": []}
-    info = []
+def _coalg_cell(law, info, n, N, ks):
     for sym in enumerate_symbols(n, N):
         x = FormalSum.of(sym)
         dx = delta_op(x, N)
@@ -486,15 +397,14 @@ def _coalg_cell(args):
             rhs = delta_op(sigma_op(k, x), N)
             tag = {"n": n, "N": N, "k": k, "symbol": sym.to_json()}
             if gcd(k, N) == 1:
-                results["scale_coproduct_hom"].append((lhs == rhs, tag))
+                law.record(lhs == rhs, tag)
             elif lhs != rhs:
                 info.append({**tag, "law": "scale_coproduct_hom",
                              "note": "non-coprime instance differs",
                              "lhs": lhs.to_json(), "rhs": rhs.to_json()})
-    return results, info
 
 
-def check_laws(suite, max_n, max_N, ks, threads=None):
+def check_laws(suite, max_n, max_N, ks):
     """Verify an operator-law suite on the full (arity, modulus) grid.
 
     Returns a report; zero failures is the assertion of every law at every
@@ -506,13 +416,14 @@ def check_laws(suite, max_n, max_N, ks, threads=None):
     ks = tuple(sorted(set(ks)))
     if not ks or any(k < 2 for k in ks):
         raise ValueError("operator indices must be integers >= 2")
-    threads = _thread_count(threads)
     grid = {"max_n": max_n, "max_N": max_N, "ks": list(ks)}
+    cells = list(product(range(1, max_n + 1), range(2, max_N + 1)))
+    info_rows = []
     if suite == "lemma48":
-        cells = [(n, N, ks) for n in range(1, max_n + 1)
-                 for N in range(2, max_N + 1)]
-        results = _run_cells(_lemma48_cell, cells, threads)
-        laws, info_rows = _merge_cells(results, _LEMMA48_LAWS)
+        laws = {name: LawCheck(name) for name in _LEMMA48_LAWS}
+        for n, N in cells:
+            _lemma48_cell(laws, info_rows, n, N, ks)
+        laws = list(laws.values())
         info = {
             "scalar_note": ("scale_after_lift equals k**arity times the "
                             "identity; the scalar is k itself only at "
@@ -520,20 +431,15 @@ def check_laws(suite, max_n, max_N, ks, threads=None):
             "projected_composite_deviations": info_rows,
         }
     elif suite == "ringhom":
-        cells = [(n1, m1, n2, m2, ks)
-                 for n1 in range(1, max_n + 1)
-                 for m1 in range(2, max_N + 1)
-                 for n2 in range(1, max_n + 1)
-                 for m2 in range(2, max_N + 1)]
-        results = _run_cells(_ringhom_cell, cells, threads)
-        laws, info_rows = _merge_cells(results, ("lift_product_hom",))
+        laws = [LawCheck("lift_product_hom")]
+        for (n1, m1), (n2, m2) in product(cells, cells):
+            _ringhom_cell(laws[0], n1, m1, n2, m2, ks)
         info = {"notes": "product level is explicit; lifted second factors "
                          "are accepted without the order check"}
     elif suite == "coalg":
-        cells = [(n, N, ks) for n in range(1, max_n + 1)
-                 for N in range(2, max_N + 1)]
-        results = _run_cells(_coalg_cell, cells, threads)
-        laws, info_rows = _merge_cells(results, ("scale_coproduct_hom",))
+        laws = [LawCheck("scale_coproduct_hom")]
+        for n, N in cells:
+            _coalg_cell(laws[0], info_rows, n, N, ks)
         info = {"non_coprime_reports": info_rows}
     else:
         raise ValueError("unknown suite %r" % suite)
@@ -559,7 +465,7 @@ def descent_failures(n, N, minus, ks):
     the target module.
     """
     fails = []
-    for i, row in enumerate(relation_rows(n, N, minus)):
+    for i, row in enumerate(_relmat(n, N, minus).rows):
         for k in ks:
             for name, image in (("scale", sigma_op(k, row)),
                                 ("lift", rho_op(k, row)),

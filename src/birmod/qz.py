@@ -6,7 +6,6 @@ underneath.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 
 class QZ(Fraction):
@@ -65,7 +64,6 @@ def qz(text):
     return QZ(Fraction(text))
 
 
-@lru_cache(maxsize=None)
 def preimages(a, k):
     """The k solutions b of k*b = a, in ascending order.
 
@@ -79,7 +77,6 @@ def preimages(a, k):
                  for j in range(k))
 
 
-@lru_cache(maxsize=None)
 def torsion(k):
     """All k-torsion points of Q/Z (the k solutions of k*b = 0), ascending."""
     if not isinstance(k, int) or k < 1:

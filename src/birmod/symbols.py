@@ -9,6 +9,7 @@ Relation matrices are produced over the deterministic symbol enumeration
 so their ranks and Smith forms describe the quotient modules exactly.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
@@ -57,8 +58,29 @@ def canonicalize(entries):
     return Symbol(t)
 
 
+_P_OVER_Q = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+
+
+def _wire_rational(value):
+    """An int (not a bool) or a "p/q" string as a Fraction.
+
+    Floats are refused: a JSON float is a binary approximation, not the
+    exact rational it prints as.  Strings are held to p/q, so no decimal
+    exponent can ask for an arbitrarily large power of ten.
+    """
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, str) and _P_OVER_Q.fullmatch(value)):
+        raise ValueError("expected an integer or a \"p/q\" string, got %r"
+                         % (value,))
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % value) from None
+
+
 def symbol_from_json(data):
-    return canonicalize(Fraction(s) for s in data)
+    return canonicalize(_wire_rational(s) for s in data)
 
 
 def symbol_from_lattice(coeffs):
@@ -201,9 +223,8 @@ def sum_from_json(data, rational=None):
     saw_string = False
     for item in data:
         c = item["c"]
-        if isinstance(c, str):
-            saw_string = True
-            c = Fraction(c)
+        saw_string = saw_string or isinstance(c, str)
+        c = _wire_rational(c)
         s = symbol_from_json(item["s"])
         terms[s] = terms.get(s, 0) + c
     if rational is None:

@@ -85,6 +85,21 @@ def test_apply_rejects_bad_spec(tmp_path, capsys):
         assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("doc", [
+    [{"c": 1, "s": ["1/0"]}],
+    [{"c": "1/0", "s": ["1/3"]}],
+    [{"c": 0.1, "s": ["1/3"]}],
+    [{"c": True, "s": ["1/3"]}],
+    [{"c": 1, "s": [0.5]}],
+    [{"c": "1e3", "s": ["1/3"]}],
+])
+def test_apply_rejects_bad_wire_numbers(tmp_path, capsys, doc):
+    inp = write(tmp_path, "x.json", doc)
+    code, out, err = run(capsys, "apply", "--op", "rho:2", "--input", inp)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_laws_text_and_exit(capsys):
     code, out, _ = run(capsys, "laws", "--suite", "lemma48",
                        "--max-n", "1", "--max-N", "4", "--ks", "2,3")
@@ -103,14 +118,6 @@ def test_laws_json_deterministic(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["suite"] == "coalg" and doc["failures_total"] == 0
-
-
-def test_laws_threads_flag_keeps_output(capsys):
-    base = ("laws", "--suite", "lemma48", "--max-n", "2", "--max-N", "4",
-            "--ks", "2", "--json")
-    _, serial, _ = run(capsys, *base)
-    _, threaded, _ = run(capsys, *base, "--threads", "4")
-    assert serial == threaded
 
 
 def test_burnside_boundary(tmp_path, capsys):

@@ -2,6 +2,7 @@
 law-verification drivers."""
 
 from fractions import Fraction
+from itertools import product
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -9,7 +10,8 @@ import pytest
 
 from birmod import (DeltaSum, FormalSum, QZ, canonicalize, check_laws,
                     delta_op, descent_failures, e_op, enumerate_symbols,
-                    nabla_op, rho_hat_op, rho_op, sigma_op, split_by_modulus)
+                    nabla_op, preimages, rho_hat_op, rho_op, sigma_op,
+                    split_by_modulus, torsion)
 
 
 def S(*entries):
@@ -138,6 +140,61 @@ def test_averaged_lift_is_a_section(s, k):
     assert sigma_op(k, rho_hat_op(k, x)) == x
 
 
+def qz_sum(pairs):
+    """Sum of c * <entries> over (entries, c) pairs, all-zero tuples dropped.
+
+    Fed with operator images built from QZ arithmetic, ``preimages`` and
+    ``torsion``, this is a reference that shares no code with the level
+    coding inside the operators.
+    """
+    terms = {}
+    for entries, c in pairs:
+        if any(entries):
+            s = canonicalize(entries)
+            terms[s] = terms.get(s, 0) + c
+    return FormalSum(terms)
+
+
+def int_sums(max_arity=3, entries=qz_entries(max_den=12)):
+    """Multi-term integer sums of one arity, entries of mixed modulus."""
+    def of_arity(n):
+        term = strat.tuples(strat.lists(entries, min_size=n, max_size=n),
+                            strat.integers(min_value=-3, max_value=3))
+        return strat.lists(term, min_size=1, max_size=4).map(qz_sum)
+    return strat.integers(min_value=1, max_value=max_arity).flatmap(of_arity)
+
+
+def nabla_reference(ell, x, y):
+    return qz_sum((lift + sy, cx * cy)
+                  for sx, cx in x.terms.items()
+                  for sy, cy in y.terms.items()
+                  for lift in product(*[preimages(a, ell) for a in sx]))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(int_sums(), ops_k)
+def test_unary_ops_match_qz_reference(x, k):
+    terms = list(x.terms.items())
+    assert sigma_op(k, x) == qz_sum(([k * a for a in s], c) for s, c in terms)
+    assert rho_op(k, x) == qz_sum(
+        (lift, c) for s, c in terms
+        for lift in product(*[preimages(a, k) for a in s]))
+    assert e_op(k, x) == qz_sum(
+        ([a + t for a, t in zip(s, shift)], c) for s, c in terms
+        for shift in product(torsion(k), repeat=len(s)))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(ops_k, strat.data())
+def test_nabla_matches_qz_reference(ell, data):
+    x = data.draw(int_sums(max_arity=2))
+    y = data.draw(int_sums(max_arity=2,
+                           entries=strat.sampled_from(torsion(ell))))
+    z = data.draw(int_sums(max_arity=2))
+    assert nabla_op(ell, x, y) == nabla_reference(ell, x, y)
+    assert nabla_op(ell, x, z, strict=False) == nabla_reference(ell, x, z)
+
+
 def test_check_laws_small_grid_passes():
     rep = check_laws("lemma48", 2, 4, (2, 3))
     assert rep.failures_total == 0
@@ -180,12 +237,6 @@ def test_report_json_shape():
     assert doc["failures_total"] == 0
     assert {"law", "checked", "failures", "samples"} <= set(doc["laws"][0])
     assert doc["grid"] == {"max_n": 1, "max_N": 3, "ks": [2]}
-
-
-def test_threaded_report_matches_serial():
-    a = check_laws("lemma48", 2, 5, (2, 3), threads=1)
-    b = check_laws("lemma48", 2, 5, (2, 3), threads=4)
-    assert a.to_json() == b.to_json()
 
 
 def test_descent_small_cases():
