@@ -167,14 +167,22 @@ class Model:
                                    Stratum(lab, self.dim - 1))
 
 
+def dim_from_json(value):
+    """A dimension read from JSON: an int, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("dimension must be an integer, not %r" % (value,))
+    return value
+
+
 def model_from_json(data):
     labels = list(data["labels"])
+    dim = dim_from_json(data["dim"])
     strata = {}
     for key, st in data.get("strata", {}).items():
         idx = frozenset(int(p) for p in str(key).split(","))
-        d = int(st.get("dim", int(data["dim"]) - len(idx)))
+        d = dim_from_json(st["dim"]) if "dim" in st else dim - len(idx)
         strata[idx] = Stratum(str(st["name"]), d)
-    return Model(dim=int(data["dim"]), labels=labels, strata=strata,
+    return Model(dim=dim, labels=labels, strata=strata,
                  name=str(data.get("name", "X")),
                  boundary_target=data.get("boundary"))
 

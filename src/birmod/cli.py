@@ -12,15 +12,13 @@ import json
 import sys
 
 from . import __version__
-from .burnside import (BurnGen, boundary_snc, check_grading,
+from .burnside import (BurnGen, boundary_snc, check_grading, dim_from_json,
                        model_from_json, parse_composite, pushforward,
                        RewriteRules, tower_boundary_check)
 from .diagram import (build_equivariant_diagram, build_pairs_diagram,
                       CatPresentation, check_poset_in_groupoids, quotient_T)
 from .ops import check_laws, e_op, rho_hat_op, rho_op, sigma_op
 from .symbols import relation_matrix, sum_from_json
-
-SNF_MAX_COLS = 5000
 
 
 def _emit_json(payload):
@@ -49,8 +47,7 @@ def cmd_rank(args):
         "rank": rm.quotient_rank(),
     }
     if args.ring == "z":
-        payload["invariant_factors"] = list(
-            rm.invariant_factors(max_cols=SNF_MAX_COLS))
+        payload["invariant_factors"] = list(rm.invariant_factors())
     if args.json:
         _emit_json(payload)
     else:
@@ -113,7 +110,8 @@ def _load_rules(path):
 
 def _gen_from_json(data):
     base, affine = parse_composite(str(data["source"]))
-    return BurnGen(base, affine, str(data["target"]), int(data["dim"]))
+    return BurnGen(base, affine, str(data["target"]),
+                   dim_from_json(data["dim"]))
 
 
 def cmd_burnside(args):

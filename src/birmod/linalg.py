@@ -1,18 +1,37 @@
 """Exact sparse linear algebra over Z and Q.
 
-A matrix is a list of sparse rows (dict column -> nonzero scalar).  Scalars
-are ints or Fractions; every row is scaled to a primitive integer row before
-elimination, which is harmless for ranks and row spans.  Elimination is
-fraction free: updates are cross multiplications followed by division of the
-row by the gcd of its entries, so no Fraction arithmetic happens in the
-inner loop and coefficients stay small.  Pivots are chosen Markowitz style
-(sparsest available row, then the column of that row that is rarest among
-the remaining rows), which keeps fill-in low on the near-diagonal relation
-matrices produced elsewhere in this package.
+A matrix is a list of sparse rows (dict column -> nonzero scalar); scalars
+are ints or Fractions.  Both eliminations below run on one private index:
+the rows keyed by their original position, a column -> row ids index whose
+list lengths are the live column counts, and a heap of (nnz, row id) that
+yields the sparsest row, lowest id first on ties, and drops entries made
+stale by updates.  A pivot touches only the rows listed under its column,
+and only the pivot row's columns can enter or leave a row, so only their
+lists change; no step rescans the whole matrix.
+
+Rank and span (``Echelon``): every row is scaled to a primitive integer
+row, which is harmless for ranks and row spans.  Elimination is fraction
+free: a row r with entry f under pivot p becomes (p*r - f*prow)/gcd(p, f),
+divided by its content, so no Fraction arithmetic happens in the inner loop
+and coefficients stay small.  Pivots are chosen Markowitz style (Markowitz
+1957): the sparsest row, then the column of that row that is rarest among
+the live rows, then the smallest entry, which keeps fill-in low on the
+near-diagonal relation matrices produced elsewhere in this package.
+
+Smith form (``snf``): over Z a pivot of +-1 is unimodular, so it is cleared
+with plain integer row updates and no content division, and contributes an
+invariant factor 1 (Dumas, Saunders and Villard, J. Symb. Comput. 2001).
+The rows left when no +-1 entry remains form the core, which gets a dense
+xgcd Smith reduction; ``SNF_MAX_CORE_COLS`` caps the core's column count.
 """
 
+import heapq
 from fractions import Fraction
 from math import gcd, lcm
+
+# Column budget of the dense Smith stage, checked on the core left after
+# the +-1 pivots are cleared.
+SNF_MAX_CORE_COLS = 5000
 
 
 def _primitive(row):
@@ -40,6 +59,85 @@ def _strip(row):
     return items
 
 
+class _Index:
+    """Integer rows keyed by id, the ids under each column, a sparsest-row heap.
+
+    ``cols[c]`` lists exactly the ids of the live rows with a nonzero in
+    column c (lists rather than sets: they are much smaller).  The heap
+    holds (nnz, id) pairs; one whose row has gone or changed length since
+    it was pushed is stale and skipped when popped.
+    """
+
+    def __init__(self, rows):
+        self.rows = {i: r for i, r in enumerate(rows) if r}
+        self.cols = {}
+        for i, r in self.rows.items():
+            for c in r:
+                self.cols.setdefault(c, []).append(i)
+        self.heap = [(len(r), i) for i, r in self.rows.items()]
+        heapq.heapify(self.heap)
+
+    def pop(self):
+        """Id of the sparsest live row not yet popped since its last change."""
+        heap, rows = self.heap, self.rows
+        while heap:
+            nnz, i = heapq.heappop(heap)
+            r = rows.get(i)
+            if r is not None and len(r) == nnz:
+                return i
+        return None
+
+    def eliminate(self, pid, col, unit):
+        """Remove row ``pid`` and clear column ``col`` from every other row.
+
+        With ``unit`` the pivot is +-1 and a row r with entry f becomes
+        r - f*p*prow, a unimodular step; otherwise it becomes
+        (p*r - f*prow)/gcd(p, f) divided by its content.  Updated rows go
+        back on the heap.
+        """
+        rows, cols = self.rows, self.cols
+        prow = rows.pop(pid)
+        p = prow[col]
+        for c in prow:
+            if c != col:
+                cols[c].remove(pid)
+        for i in cols.pop(col):
+            if i == pid:
+                continue
+            r = rows[i]
+            f = r[col]
+            if unit:
+                b = f * p
+            else:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    for c in r:
+                        r[c] *= a
+            for c, v in prow.items():
+                x = r.get(c)
+                if x is None:
+                    r[c] = -b * v
+                    cols[c].append(i)
+                else:
+                    x -= b * v
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
+                        if c != col:
+                            cols[c].remove(i)
+            if not r:
+                del rows[i]
+                continue
+            if not unit:
+                g = gcd(*r.values())
+                if g > 1:
+                    for c in r:
+                        r[c] //= g
+            heapq.heappush(self.heap, (len(r), i))
+
+
 class Echelon:
     """Pivot rows from one elimination pass, usable for span membership."""
 
@@ -49,39 +147,12 @@ class Echelon:
         # Each pivot row is free of all earlier pivot columns, so forward
         # reduction in this order is a valid membership test.
         self.pivots = []
-        active = [_primitive(r) for r in rows]
-        active = [r for r in active if r]
-        counts = {}
-        for r in active:
-            for c in r:
-                counts[c] = counts.get(c, 0) + 1
-        while active:
-            ri = min(range(len(active)), key=lambda i: (len(active[i]), i))
-            prow = active.pop(ri)
-            col = min(prow, key=lambda c: (counts[c], abs(prow[c]), c))
-            pval = prow[col]
-            for c in prow:
-                counts[c] -= 1
-            nxt = []
-            for r in active:
-                if col in r:
-                    for c in r:
-                        counts[c] -= 1
-                    f = r[col]
-                    new = dict(r)
-                    for c, v in prow.items():
-                        new[c] = pval * new.get(c, 0) - f * v
-                    for c in [c for c in new if c not in prow]:
-                        new[c] = pval * new[c]
-                    new = _strip(new)
-                    if new:
-                        for c in new:
-                            counts[c] = counts.get(c, 0) + 1
-                        nxt.append(new)
-                else:
-                    nxt.append(r)
-            active = nxt
-            self.pivots.append((col, pval, prow))
+        idx = _Index([_primitive(r) for r in rows])
+        while (pid := idx.pop()) is not None:
+            prow = idx.rows[pid]
+            col = min(prow, key=lambda c: (len(idx.cols[c]), abs(prow[c]), c))
+            idx.eliminate(pid, col, False)
+            self.pivots.append((col, prow[col], prow))
 
     @property
     def rank(self):
@@ -161,23 +232,56 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def snf(mat, max_cols=5000):
+def snf(mat):
     """Invariant factors d1 | d2 | ... of an integer matrix.
 
-    Dense Smith reduction with xgcd row/column operations; only attempted
-    below the column threshold since it is meant for desk-scale matrices.
-    Fraction entries are rejected, this is integral structure only.
+    +-1 pivots are cleared first, each giving a factor 1; the core left
+    over goes to the dense routine, and ``ValueError`` is raised when it
+    has more than ``SNF_MAX_CORE_COLS`` columns.  Fraction entries must be
+    integral: this is integral structure only.
     """
-    if mat.ncols > max_cols:
-        raise ValueError("snf limited to %d columns" % max_cols)
-    m, n = mat.nrows, mat.ncols
-    a = [[0] * n for _ in range(m)]
-    for i, r in enumerate(mat.rows):
+    rows = []
+    for r in mat.rows:
+        ints = {}
         for c, v in r.items():
             if isinstance(v, Fraction):
                 if v.denominator != 1:
                     raise ValueError("snf needs integer entries")
                 v = v.numerator
+            if v:
+                ints[c] = v
+        rows.append(ints)
+    idx = _Index(rows)
+    ones = 0
+    # a popped row without a +-1 entry stays in the index, and goes back on
+    # the heap only if a later pivot changes it
+    while (pid := idx.pop()) is not None:
+        prow = idx.rows[pid]
+        units = [c for c, v in prow.items() if v == 1 or v == -1]
+        if units:
+            col = min(units, key=lambda c: (len(idx.cols[c]), c))
+            idx.eliminate(pid, col, True)
+            ones += 1
+    cols = sorted(c for c, ids in idx.cols.items() if ids)
+    if len(cols) > SNF_MAX_CORE_COLS:
+        raise ValueError(
+            "Smith form core is %d x %d; the dense stage takes at most %d "
+            "columns" % (len(idx.rows), len(cols), SNF_MAX_CORE_COLS))
+    where = {c: j for j, c in enumerate(cols)}
+    core = [{where[c]: v for c, v in r.items()} for r in idx.rows.values()]
+    return (1,) * ones + _dense_snf(core, len(cols))
+
+
+def _dense_snf(rows, n):
+    """Invariant factors of integer sparse rows over n columns, densely.
+
+    Smith reduction with xgcd row and column operations on a dense copy;
+    cubic, so ``snf`` hands it only the core left after the +-1 pivots.
+    """
+    m = len(rows)
+    a = [[0] * n for _ in range(m)]
+    for i, r in enumerate(rows):
+        for c, v in r.items():
             a[i][c] = v
     diag = []
     top = 0

@@ -329,8 +329,8 @@ class RelationMatrix:
         """Dimension over Q of the presented module."""
         return len(self.basis) - rank_q(self.mat)
 
-    def invariant_factors(self, max_cols=5000):
-        return snf(self.mat, max_cols)
+    def invariant_factors(self):
+        return snf(self.mat)
 
 
 def relation_matrix(n, N, minus=False):

@@ -134,6 +134,20 @@ def test_burnside_boundary(tmp_path, capsys):
     assert len(doc["boundary"]) == 3
 
 
+@pytest.mark.parametrize("doc", [
+    {"dim": 2.9, "labels": ["E1", "E2"],
+     "strata": {"1,2": {"name": "C", "dim": 0}}},
+    {"dim": True, "labels": ["E1"]},
+    {"dim": 2, "labels": ["E1", "E2"],
+     "strata": {"1,2": {"name": "C", "dim": 0.4}}},
+])
+def test_burnside_rejects_non_integer_dims(tmp_path, capsys, doc):
+    model = write(tmp_path, "m.json", doc)
+    code, out, err = run(capsys, "burnside", "boundary", "--model", model)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_burnside_pushforward_with_rules(tmp_path, capsys):
     model = write(tmp_path, "xp.json", {
         "dim": 2, "labels": ["Zt", "E"],

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as strat
+import pytest
 
-from birmod import SparseMat, in_span, rank_q, snf
+from birmod import SparseMat, in_span, linalg, rank_q, snf
 
 small_entries = strat.integers(min_value=-4, max_value=4)
 
@@ -14,11 +15,15 @@ def dense(rows2d):
     return SparseMat.from_dense(rows2d)
 
 
-def matrices(max_rows=5, max_cols=5):
+def matrices(max_rows=5, max_cols=5, entries=small_entries):
     return strat.integers(min_value=1, max_value=max_cols).flatmap(
         lambda c: strat.lists(
-            strat.lists(small_entries, min_size=c, max_size=c),
+            strat.lists(entries, min_size=c, max_size=c),
             min_size=1, max_size=max_rows))
+
+
+# no entry of +-1, so the Smith form goes straight to the dense core
+non_unit_entries = strat.sampled_from([-6, -4, -3, -2, 0, 0, 2, 3, 4, 6, 9])
 
 
 def test_rank_examples():
@@ -80,3 +85,25 @@ def test_snf_divisibility_chain(rows):
     assert all(f > 0 for f in factors)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+
+
+@hypothesis.given(strat.one_of(matrices(7, 7),
+                               matrices(7, 7, entries=non_unit_entries)))
+def test_snf_matches_dense_smith_form(rows):
+    m = dense(rows)
+    assert snf(m) == linalg._dense_snf(m.rows, m.ncols)
+
+
+def test_snf_refuses_non_integral_fractions():
+    with pytest.raises(ValueError, match="integer"):
+        snf(dense([[1, Fraction(3, 2)], [2, 0]]))
+    assert snf(dense([[Fraction(4, 2), 0], [0, 3]])) == (1, 6)
+
+
+def test_snf_core_budget(monkeypatch):
+    # after the unit pivot the core is the 2x2 block diag(2, 4)
+    m = dense([[1, 5, 7], [0, 2, 0], [0, 0, 4]])
+    assert snf(m) == (1, 2, 4)
+    monkeypatch.setattr(linalg, "SNF_MAX_CORE_COLS", 1)
+    with pytest.raises(ValueError, match="core is 2 x 2"):
+        snf(m)

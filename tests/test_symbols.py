@@ -207,3 +207,52 @@ def test_minus_reduce_kills_negation_differences(s):
     fs = FormalSum.of(s).to_rational() - \
         FormalSum.of(neg).to_rational().scale((-1) ** s.arity)
     assert minus_reduce(fs).is_zero()
+
+
+# Oracles that share no code with linalg: classical closed forms for the
+# arity-2 ranks at prime N, and a machine-int rank over F_p for the Smith
+# form.
+
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+def test_minus_rank_is_the_genus_of_x1(p):
+    # genus of the modular curve X_1(p) for a prime p >= 5
+    assert relation_matrix(2, p, minus=True).quotient_rank() \
+        == (p - 5) * (p - 7) // 24
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_plain_rank_closed_form(p):
+    assert relation_matrix(2, p).quotient_rank() == (p * p + 23) // 24
+
+
+def rank_mod(rows, p):
+    """Rank over F_p of sparse integer rows, by Gaussian elimination."""
+    pivots = {}
+    for row in rows:
+        r = {c: int(v) % p for c, v in row.items() if int(v) % p}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[c]
+            for k, v in pivots[c].items():
+                x = (r.get(k, 0) - f * v) % p
+                if x:
+                    r[k] = x
+                else:
+                    del r[k]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("n, N, minus", [(2, 36, True), (3, 12, False),
+                                         (3, 16, True)])
+def test_smith_form_against_rank_mod_p(n, N, minus):
+    m = relation_matrix(n, N, minus)
+    factors = m.invariant_factors()
+    rank = len(m.basis) - m.quotient_rank()
+    assert len(factors) == rank
+    for p in (2, 3):
+        assert sum(1 for d in factors if d % p == 0) \
+            == rank - rank_mod(m.mat.rows, p)
