@@ -388,40 +388,33 @@ def quotient_T(cat):
         a, b = of[m.src], of[m.dst]
         if a != b:
             arrows.add((a, b))
+    succ = [[] for _ in classes]
+    for a, b in sorted(arrows):
+        succ[a].append(b)
     edges = []
-    for (a, b) in sorted(arrows):
-        via = [reps[c] for c in range(len(classes))
-               if c not in (a, b) and (a, c) in arrows and (c, b) in arrows]
-        edges.append({"src": reps[a], "dst": reps[b],
-                      "decomposable": bool(via), "via": via})
-    # longest downward path out of each class, DAG only
-    order = []
-    state = {}
-    has_cycle = False
-
-    def visit(u):
-        nonlocal has_cycle
-        state[u] = 1
-        for (a, b) in arrows:
-            if a == u:
-                if state.get(b) == 1:
-                    has_cycle = True
-                elif b not in state:
-                    visit(b)
-        state[u] = 2
-        order.append(u)
-
-    for u in range(len(classes)):
-        if u not in state:
-            visit(u)
-    longest = {u: 0 for u in range(len(classes))}
+    for a, out in enumerate(succ):
+        for b in out:
+            via = [reps[c] for c in out if c != b and (c, b) in arrows]
+            edges.append({"src": reps[a], "dst": reps[b],
+                          "decomposable": bool(via), "via": via})
+    # longest downward path out of each class, DAG only; a topological
+    # order (Kahn) covers every class exactly when there is no cycle
+    indegree = [0] * len(classes)
+    for a, b in arrows:
+        indegree[b] += 1
+    order = [u for u, d in enumerate(indegree) if not d]
+    for u in order:
+        for b in succ[u]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                order.append(b)
+    has_cycle = len(order) < len(classes)
+    longest = [0] * len(classes)
     if not has_cycle:
-        for u in order:
-            for (a, b) in arrows:
-                if a == u:
-                    longest[u] = max(longest[u], 1 + longest[b])
-    peak = max(longest.values(), default=0)
-    tops = sorted(reps[u] for u in longest if longest[u] == peak)
+        for u in reversed(order):
+            longest[u] = max((1 + longest[b] for b in succ[u]), default=0)
+    peak = max(longest, default=0)
+    tops = sorted(reps[u] for u, d in enumerate(longest) if d == peak)
     return QuotientResult([list(c) for c in classes], edges,
-                          {reps[u]: longest[u] for u in longest},
+                          {reps[u]: d for u, d in enumerate(longest)},
                           tops, len(tops) == 1, has_cycle)

@@ -31,10 +31,6 @@ class GroupRingElem:
     def of(cls, r, c=1):
         return cls({r: c})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def items(self):
         return sorted(self.coeffs.items())
 

@@ -17,15 +17,11 @@ identities precisely on symbols annihilated by scaling; those instances
 are genuine and are reported in an informational section, never asserted
 away.
 
-Internally a symbol is coded at a level L, a positive integer that every
-entry denominator divides: the entry a/d becomes the int a*L/d in
-[0, L).  The code is monotone, so a sorted symbol codes to a sorted int
-tuple and decodes without re-sorting.  Scaling by k is k*i mod L; the
-lift by k is the range i/k, i/k + L/k, ... below L, exact as long as k
-divides L and every lifted code; the torsion shift by k adds multiples
-of L/k.  Each public operator picks the least level its output needs,
-and each law cell picks one level that holds both sides of every law it
-checks, so the two sides compare as plain dicts of int tuples.
+Operators act on the level codec of ``symbols``: scaling by k is k*i
+mod L, the lift by k spreads i over i/k + j*L/k and the torsion shift adds
+multiples of L/k.  Each public operator codes at the least level its
+output needs, and each law cell at one level that holds both sides of
+every law it checks, so the two sides compare as plain dicts.
 """
 
 from dataclasses import dataclass, field
@@ -33,9 +29,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from .qz import QZ
 from .symbols import (FormalSum, Symbol, canonicalize, enumerate_symbols,
-                      minus_canonicalize, relation_matrix, TWO_TORSION)
+                      minus_canonicalize, relation_matrix, TWO_TORSION,
+                      _enc, _level, _raw_of, _wrap)
 
 MAX_STORED_FAILURES = 50
 
@@ -43,21 +39,6 @@ MAX_STORED_FAILURES = 50
 def _check_k(k):
     if not isinstance(k, int) or k < 1:
         raise ValueError("operator index must be a positive integer")
-
-
-# level codec: dicts {coded entry tuple: coefficient}, all-zero tuples kept
-
-def _level(*sums):
-    """lcm of the symbol moduli, the least level holding every entry."""
-    return lcm(*[s.modulus for x in sums for s in x.terms])
-
-
-def _enc(s, L):
-    return tuple(a.numerator * (L // a.denominator) for a in s)
-
-
-def _raw_of(fs, L):
-    return {_enc(s, L): c for s, c in fs.terms.items()}
 
 
 def _lifts(k, L, i):
@@ -90,12 +71,6 @@ def _raw_e(k, L, sums):
             key = tuple(sorted((i + s) % L for i, s in zip(t, combo)))
             out[key] = out.get(key, 0) + c
     return {t: c for t, c in out.items() if c}
-
-
-def _wrap(sums, L, arity, rational):
-    """Decode to a formal sum, dropping the all-zero tuple."""
-    return FormalSum({Symbol(QZ(i, L) for i in t): c
-                      for t, c in sums.items() if any(t)}, arity, rational)
 
 
 def sigma_op(k, x):
@@ -446,33 +421,39 @@ def check_laws(suite, max_n, max_N, ks):
     return OperatorReport(suite, grid, laws, info)
 
 
-_RELMAT_CACHE = {}
-
-
-def _relmat(n, N, minus):
-    key = (n, N, minus)
-    if key not in _RELMAT_CACHE:
-        _RELMAT_CACHE[key] = relation_matrix(n, N, minus)
-    return _RELMAT_CACHE[key]
-
-
 def descent_failures(n, N, minus, ks):
     """Relation vectors whose operator images leave the relation span.
 
     Empty output means the operators descend to the presented quotient at
     (n, N): the image of every relation row decomposes by exact modulus
     and each component lies in the rational span of the relation rows of
-    the target module.
+    the target module.  Images are taken on codes at the level the public
+    operator would pick, and each component is recoded to its modulus.
     """
+    mats = {}
+    src = mats[N] = relation_matrix(n, N, minus)
     fails = []
-    for i, row in enumerate(_relmat(n, N, minus).rows):
+    for i, r in enumerate(src.mat.rows):
         for k in ks:
-            for name, image in (("scale", sigma_op(k, row)),
-                                ("lift", rho_op(k, row)),
-                                ("torsion_shift", e_op(k, row))):
-                for M, comp in split_by_modulus(image).items():
-                    if not _relmat(n, M, minus).contains(comp):
+            _check_k(k)
+            for name, L, op in (("scale", N, _raw_sigma),
+                                ("lift", N * k, _raw_rho),
+                                ("torsion_shift", lcm(k, N), _raw_e)):
+                row = {tuple(L // N * x for x in src.codes[j]): c
+                       for j, c in r.items()}
+                parts = {}
+                for t, c in op(k, L, row).items():
+                    g = gcd(L, *t)
+                    if g < L:  # the all-zero tuple has no modulus
+                        parts.setdefault(L // g, {})[
+                            tuple(x // g for x in t)] = c
+                for M, comp in sorted(parts.items()):
+                    if M not in mats:
+                        mats[M] = relation_matrix(n, M, minus)
+                    vec = {mats[M].index[t]: c for t, c in comp.items()}
+                    if not mats[M].mat.echelon().contains(vec):
                         fails.append({"row": i, "k": k, "op": name,
                                       "target_modulus": M,
-                                      "component": comp.to_json()})
+                                      "component": _wrap(
+                                          comp, M, n, False).to_json()})
     return fails

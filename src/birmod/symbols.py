@@ -7,6 +7,13 @@ blow-up relation (arity preserving, one distinguished entry spread over
 the others) and, for the signed quotient, entrywise negation with a sign.
 Relation matrices are produced over the deterministic symbol enumeration
 so their ranks and Smith forms describe the quotient modules exactly.
+
+Internally a symbol is coded at a level L, a positive integer that every
+entry denominator divides: the entry a/d becomes the int a*L/d in
+[0, L).  The code is monotone, so a sorted symbol codes to a sorted int
+tuple and decodes without re-sorting; the coded tuple t has modulus
+L // gcd(L, *t).  Enumeration, relation rows and the operators in ``ops``
+work on codes; results are decoded only where they are handed out.
 """
 
 import re
@@ -15,6 +22,7 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from .linalg import SparseMat, rank_q, snf
+from .qz import QZ
 
 TWO_TORSION = 0  # sign value returned for classes with 2*S = 0 in the signed quotient
 
@@ -51,7 +59,6 @@ class Symbol(tuple):
 
 def canonicalize(entries):
     """Sort entries into the canonical representative of the symbol."""
-    from .qz import QZ
     t = tuple(sorted(QZ(a) for a in entries))
     if not t:
         raise ValueError("a symbol needs at least one entry")
@@ -91,6 +98,16 @@ def symbol_from_lattice(coeffs):
     return s
 
 
+def _coded_symbols(n, N):
+    """The arity-n symbols of modulus exactly N, coded at level N."""
+    if n < 1:
+        raise ValueError("arity must be at least 1")
+    if N < 2:
+        raise ValueError("modulus must be at least 2")
+    return [t for t in combinations_with_replacement(range(N), n)
+            if gcd(N, *t) == 1]
+
+
 def enumerate_symbols(n, N):
     """All canonical arity-n symbols of modulus exactly N, in a fixed order.
 
@@ -98,17 +115,7 @@ def enumerate_symbols(n, N):
     must be N itself (the tuple generates Z/N).  Deterministic: sorted
     tuples in lexicographic order.
     """
-    from .qz import torsion
-    if n < 1:
-        raise ValueError("arity must be at least 1")
-    if N < 2:
-        raise ValueError("modulus must be at least 2")
-    out = []
-    for t in combinations_with_replacement(torsion(N), n):
-        s = Symbol(t)
-        if s.modulus == N:
-            out.append(s)
-    return out
+    return [_dec(t, N) for t in _coded_symbols(n, N)]
 
 
 class FormalSum:
@@ -138,10 +145,6 @@ class FormalSum:
         self.terms = clean
         self.arity = arity
         self.rational = rational
-
-    @classmethod
-    def zero(cls, arity=0, rational=False):
-        return cls({}, arity, rational)
 
     @classmethod
     def of(cls, symbol, coeff=1, rational=False):
@@ -197,13 +200,6 @@ class FormalSum:
     def to_rational(self):
         return FormalSum(self.terms, self.arity, True)
 
-    def extend_linear(self, f):
-        """Apply a symbol-level map f(symbol) -> FormalSum linearly."""
-        out = FormalSum.zero(rational=self.rational)
-        for s, c in self.terms.items():
-            out = out + f(s).scale(c)
-        return out
-
     def to_json(self):
         out = []
         for s, c in self.items():
@@ -232,6 +228,44 @@ def sum_from_json(data, rational=None):
     return FormalSum(terms, rational=rational)
 
 
+# level codec: dicts {coded entry tuple: coefficient}
+
+def _level(*sums):
+    """lcm of the symbol moduli, the least level holding every entry."""
+    return lcm(*[s.modulus for x in sums for s in x.terms])
+
+
+def _enc(s, L):
+    return tuple(a.numerator * (L // a.denominator) for a in s)
+
+
+def _dec(t, L):
+    return Symbol(QZ(i, L) for i in t)
+
+
+def _raw_of(fs, L):
+    return {_enc(s, L): c for s, c in fs.terms.items()}
+
+
+def _wrap(sums, L, arity, rational):
+    """Decode to a formal sum, dropping the all-zero tuple."""
+    return FormalSum({_dec(t, L): c for t, c in sums.items() if any(t)},
+                     arity, rational)
+
+
+def _blowup_row(t, L, positions):
+    """``blowup_relation`` on the coded tuple t, as given (not sorted)."""
+    m = gcd(L, *t)
+    row = {tuple(sorted(t)): 1}
+    for i in positions:
+        key = tuple(sorted((x - t[i]) % L if j in positions and j != i
+                           else x for j, x in enumerate(t)))
+        # each spread tuple still generates the same cyclic group
+        assert gcd(L, *key) == m
+        row[key] = row.get(key, 0) - 1
+    return {key: c for key, c in row.items() if c}
+
+
 def blowup_relation(entries, k, positions=None, modulus=None):
     """The blow-up relation instance for one tuple and one choice of part.
 
@@ -241,7 +275,6 @@ def blowup_relation(entries, k, positions=None, modulus=None):
     Raises unless the full tuple generates its ambient cyclic group (at the
     declared modulus when one is given, else the lcm of the entry orders).
     """
-    from .qz import QZ
     t = tuple(QZ(a) for a in entries)
     n = len(t)
     if not 2 <= k <= n:
@@ -258,46 +291,32 @@ def blowup_relation(entries, k, positions=None, modulus=None):
             raise ValueError("tuple does not generate Z/%d" % modulus)
     elif m < 2:
         raise ValueError("the zero tuple generates nothing")
-    out = FormalSum.of(canonicalize(t))
-    for i in positions:
-        new = list(t)
-        for j in positions:
-            if j != i:
-                new[j] = t[j] - t[i]
-        term = canonicalize(new)
-        # each spread tuple still generates the same cyclic group
-        assert term.modulus == m
-        out = out - FormalSum.of(term)
-    return out
+    return _wrap(_blowup_row(_enc(t, m), m, positions), m, n, False)
 
 
-def _minus_rows(symbols):
-    rows = []
-    for s in symbols:
-        for p in range(len(s)):
-            flipped = list(s)
-            flipped[p] = -flipped[p]
-            rows.append(FormalSum.of(canonicalize(flipped)) + FormalSum.of(s))
-    return rows
+def _relations(n, N, minus):
+    """Coded basis and relation rows at level N.
+
+    Blow-up rows, then negation rows if minus; each row is kept at its
+    first occurrence.  No row is zero: its coefficients sum to 1 - k or 2.
+    """
+    basis = _coded_symbols(n, N)
+    rows = [_blowup_row(t, N, pos) for t in basis for k in range(2, n + 1)
+            for pos in combinations(range(n), k)]
+    if minus:
+        for t in basis:
+            for p in range(n):
+                key = tuple(sorted(t[:p] + (-t[p] % N,) + t[p + 1:]))
+                rows.append({key: 2} if key == t else {key: 1, t: 1})
+    seen = {}
+    for r in rows:
+        seen.setdefault(tuple(sorted(r.items())), r)
+    return basis, list(seen.values())
 
 
 def relation_rows(n, N, minus=False):
     """Deduplicated nonzero relation vectors for the arity-n modulus-N module."""
-    rows = []
-    for s in enumerate_symbols(n, N):
-        for k in range(2, n + 1):
-            for pos in combinations(range(n), k):
-                rows.append(blowup_relation(s, k, pos, modulus=N))
-    if minus:
-        rows.extend(_minus_rows(enumerate_symbols(n, N)))
-    seen = {}
-    for r in rows:
-        if r.is_zero():
-            continue
-        key = tuple(r.items())
-        if key not in seen:
-            seen[key] = r
-    return list(seen.values())
+    return [_wrap(r, N, n, False) for r in _relations(n, N, minus)[1]]
 
 
 class RelationMatrix:
@@ -305,20 +324,28 @@ class RelationMatrix:
 
     def __init__(self, n, N, minus=False):
         self.n, self.N, self.minus = n, N, minus
-        self.basis = enumerate_symbols(n, N)
-        self.index = {s: i for i, s in enumerate(self.basis)}
-        self.rows = relation_rows(n, N, minus)
+        # the basis coded at level N, and the column of each code
+        self.codes, rows = _relations(n, N, minus)
+        self.index = {t: i for i, t in enumerate(self.codes)}
+        self.basis = [_dec(t, N) for t in self.codes]
         self.mat = SparseMat(
-            [{self.index[s]: c for s, c in r.terms.items()} for r in self.rows],
-            len(self.basis))
+            [{self.index[t]: c for t, c in r.items()} for r in rows],
+            len(self.codes))
+
+    @property
+    def rows(self):
+        """The relation rows as formal sums, in matrix row order."""
+        return [FormalSum({self.basis[i]: c for i, c in r.items()}, self.n)
+                for r in self.mat.rows]
 
     def vectorize(self, fs):
         """Coordinates of a formal sum over the basis; None if it leaves it."""
         vec = {}
         for s, c in fs.terms.items():
-            if s not in self.index:
+            t = _enc(s, self.N) if s.modulus == self.N else None
+            if t not in self.index:
                 return None
-            vec[self.index[s]] = c
+            vec[self.index[t]] = c
         return vec
 
     def contains(self, fs):

@@ -180,6 +180,19 @@ def test_quotient_cycle_detection():
     assert not q.unique_top  # both classes sit at the degenerate peak
 
 
+def test_quotient_of_a_long_chain():
+    # deeper than the default recursion limit
+    names = ["c%04d" % i for i in range(1200)]
+    ms = [Morphism("id_" + o, o, o, True) for o in names]
+    ms += [Morphism("f%04d" % i, names[i], names[i + 1])
+           for i in range(len(names) - 1)]
+    cat = CatPresentation(names, ms, [], {o: "id_" + o for o in names})
+    q = quotient_T(cat)
+    assert q.top_classes == ["c0000"] and q.unique_top
+    assert q.longest_paths["c0000"] == 1199 and not q.has_cycle
+    assert len(q.edges) == 1199
+
+
 def test_quotient_to_diagram():
     dia = quotient_T(chain_category()).to_diagram()
     assert dia.vertex_count() == 3 and dia.edge_count() == 3

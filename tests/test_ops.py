@@ -10,8 +10,9 @@ import pytest
 
 from birmod import (DeltaSum, FormalSum, QZ, canonicalize, check_laws,
                     delta_op, descent_failures, e_op, enumerate_symbols,
-                    nabla_op, preimages, rho_hat_op, rho_op, sigma_op,
-                    split_by_modulus, torsion)
+                    nabla_op, preimages, relation_rows, rho_hat_op, rho_op,
+                    sigma_op, split_by_modulus, torsion)
+from birmod.linalg import Echelon
 
 
 def S(*entries):
@@ -242,6 +243,30 @@ def test_report_json_shape():
 def test_descent_small_cases():
     assert descent_failures(2, 4, False, (2, 3)) == []
     assert descent_failures(2, 4, True, (2, 3)) == []
+    with pytest.raises(ValueError):
+        descent_failures(2, 4, False, (0,))
+
+
+@pytest.mark.parametrize("n, N, minus", [(2, 4, False), (2, 6, True),
+                                         (3, 4, True), (2, 3, False)])
+def test_descent_images_match_public_operators(monkeypatch, n, N, minus):
+    # with no span membership every image component is reported, so the
+    # report lists the coded images in full; at N = 3 scaling by 3 kills
+    # every symbol and the torsion shift by 3 reaches the all-zero tuple
+    monkeypatch.setattr(Echelon, "contains", lambda self, row: False)
+    want = []
+    for i, row in enumerate(relation_rows(n, N, minus)):
+        for k in (2, 3):
+            for name, op in (("scale", sigma_op), ("lift", rho_op),
+                             ("torsion_shift", e_op)):
+                for M, comp in split_by_modulus(op(k, row)).items():
+                    want.append({"row": i, "k": k, "op": name,
+                                 "target_modulus": M,
+                                 "component": comp.to_json()})
+    got = descent_failures(n, N, minus, (2, 3))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
 
 
 def test_delta_sum_bookkeeping():

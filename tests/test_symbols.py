@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import lcm
 from random import Random
 
 import hypothesis
@@ -11,6 +13,7 @@ import pytest
 from birmod import (TWO_TORSION, FormalSum, QZ, SparseMat, blowup_relation,
                     canonicalize, enumerate_symbols, minus_canonicalize,
                     minus_reduce, rank_q, relation_matrix, relation_rows,
+                    RelationMatrix,
                     sum_from_json, symbol_from_json, symbol_from_lattice)
 
 
@@ -116,6 +119,13 @@ def test_blowup_examples():
                    S("1/6", "1/3", "1/3"): -1,
                    S("1/3", "1/2", "2/3"): -1})
 
+    # positions index the tuple as given, before it is sorted
+    assert blowup_relation(
+        (Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)), 2, (0, 2)) == \
+        FormalSum({S("1/6", "1/3", "1/2"): 1,
+                   S("1/6", "1/2", "5/6"): -1,
+                   S("1/6", "1/6", "1/3"): -1})
+
 
 def test_blowup_guards():
     with pytest.raises(ValueError):
@@ -142,6 +152,55 @@ def test_relation_rows_deduplicated():
     keys = [tuple(r.items()) for r in rows]
     assert len(keys) == len(set(keys))
     assert all(not r.is_zero() for r in rows)
+
+
+def reference_relations(n, N, minus):
+    """Basis and relation rows from QZ arithmetic, in the package's order.
+
+    Blow-up rows of every symbol and part, then the negation rows, each
+    row kept at its first occurrence; shares no code with the level codec.
+    """
+    basis = [tuple(t) for t in combinations_with_replacement(
+        [QZ(j, N) for j in range(N)], n)
+        if lcm(*[a.order for a in t]) == N]
+
+    def row(terms):
+        out = {}
+        for entries, c in terms:
+            key = tuple(sorted(entries))
+            out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c}
+
+    rows = []
+    for t in basis:
+        for k in range(2, n + 1):
+            for pos in combinations(range(n), k):
+                spreads = [[t[j] - t[i] if j in pos and j != i else t[j]
+                            for j in range(n)] for i in pos]
+                rows.append(row([(t, 1)] + [(u, -1) for u in spreads]))
+    if minus:
+        for t in basis:
+            for p in range(n):
+                flipped = [-a if j == p else a for j, a in enumerate(t)]
+                rows.append(row([(flipped, 1), (t, 1)]))
+    seen = {}
+    for r in rows:
+        if r:
+            seen.setdefault(tuple(sorted(r.items())), r)
+    return basis, list(seen.values())
+
+
+@pytest.mark.parametrize("minus", [False, True])
+def test_relation_rows_match_qz_reference(minus):
+    for n in range(1, 4):
+        for N in range(2, 9):
+            basis, rows = reference_relations(n, N, minus)
+            assert [r.terms for r in relation_rows(n, N, minus)] == rows
+            m = RelationMatrix(n, N, minus)
+            assert m.basis == basis
+            col = {s: i for i, s in enumerate(basis)}
+            assert m.mat.rows == [{col[s]: c for s, c in r.items()}
+                                  for r in rows]
 
 
 def test_rank_examples():
