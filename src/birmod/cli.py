@@ -28,10 +28,14 @@ def _emit_json(payload):
 
 
 def _read_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """Parse a JSON input; nesting too deep for the parser is bad input."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("input %s nests too deeply" % path) from None
 
 
 def cmd_rank(args):

@@ -10,7 +10,9 @@ poset-in-groupoids shape: morphisms within an isomorphism class are
 invertible, and the morphisms between two non-isomorphic objects form a
 single orbit under pre- and post-composition with endomorphisms.
 Collapsing the classes yields a finite order whose edges are flagged as
-decomposable or not.
+decomposable or not.  A presentation is indexed once, when it is built:
+the checks and the quotient read its hom-sets from that index instead
+of rescanning the morphisms.
 """
 
 from dataclasses import dataclass
@@ -74,6 +76,17 @@ def _vname(v):
     return ",".join(str(p) for p in v)
 
 
+def _json_int(value, what):
+    """An int read from JSON, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, not %r" % (what, value))
+    return value
+
+
+def _int_range(data, key):
+    return sorted(_json_int(v, key + " entry") for v in data.get(key, [0]))
+
+
 def _collect_pairs(data):
     known = set(data["varieties"]) if "varieties" in data else None
 
@@ -118,8 +131,8 @@ def build_pairs_diagram(data):
     degree i to the upper pair in degree i + 1.
     """
     pairs = _collect_pairs(data)
-    i_range = sorted(int(i) for i in data.get("i_range", [0]))
-    shift = int(data.get("fstar_shift", 1))
+    i_range = _int_range(data, "i_range")
+    shift = _json_int(data.get("fstar_shift", 1), "degree shift")
     if shift not in (0, 1):
         raise ValueError("degree shift must be 0 or 1")
     irange = set(i_range)
@@ -150,8 +163,8 @@ def build_equivariant_diagram(data):
     product vertex per grid point, two degrees and one weight up.
     """
     pairs = _collect_pairs(data)
-    i_range = sorted(int(i) for i in data.get("i_range", [0]))
-    w_range = sorted(int(w) for w in data.get("w_range", [0]))
+    i_range = _int_range(data, "i_range")
+    w_range = _int_range(data, "w_range")
     irange = set(i_range)
     dia = Diagram()
     for (x, y) in pairs:
@@ -188,23 +201,35 @@ class Morphism:
     invertible: bool = False
 
 
+def _iso_flag(m):
+    """A morphism's ``iso`` flag: a JSON boolean, false when absent."""
+    iso = m.get("iso", False)
+    if not isinstance(iso, bool):
+        raise ValueError("iso of morphism %r must be true or false, not %r"
+                         % (m["name"], iso))
+    return iso
+
+
 class CatPresentation:
     """Finite category presentation with a partial composition table.
 
     Every object designates an identity; the table is validated for
     typing, unit behavior, and associativity wherever all the needed
-    composites are declared.
+    composites are declared.  It is then indexed once: ``homs`` maps each
+    nonempty hom-set's ``(src, dst)`` to its sorted tuple of names, with
+    keys in object order (by source position, then target position).
     """
 
     def __init__(self, objects, morphisms, compose, identities):
         self.objects = list(objects)
-        if len(set(self.objects)) != len(self.objects):
+        position = {x: i for i, x in enumerate(self.objects)}
+        if len(position) != len(self.objects):
             raise ValueError("object names must be distinct")
         self.morphisms = {}
         for m in morphisms:
             if m.name in self.morphisms:
                 raise ValueError("two morphisms named %r" % m.name)
-            if m.src not in self.objects or m.dst not in self.objects:
+            if m.src not in position or m.dst not in position:
                 raise ValueError("morphism %r endpoints unknown" % m.name)
             self.morphisms[m.name] = m
         self.identities = dict(identities)
@@ -236,33 +261,36 @@ class CatPresentation:
                     raise ValueError("identity composite for %r is wrong"
                                      % name)
                 self.compose[key] = want
-        for (f, g), u in list(self.compose.items()):
-            for (g2, h), v in list(self.compose.items()):
-                if g2 != g:
-                    continue
+        by_first = {}
+        for (g, h), v in self.compose.items():
+            by_first.setdefault(g, []).append((h, v))
+        for (f, g), u in self.compose.items():
+            for h, v in by_first.get(g, ()):
                 left = self.compose.get((u, h))
                 right = self.compose.get((f, v))
                 if left is not None and right is not None and left != right:
                     raise ValueError(
                         "associativity breaks on (%s, %s, %s)" % (f, g, h))
+        homs = {}
+        for m in self.morphisms.values():
+            homs.setdefault((position[m.src], position[m.dst]),
+                            []).append(m.name)
+        self.homs = {(self.objects[a], self.objects[b]): tuple(sorted(names))
+                     for (a, b), names in sorted(homs.items())}
 
     @classmethod
     def from_json(cls, data):
-        morphisms = [Morphism(m["name"], m["src"], m["dst"],
-                              bool(m.get("iso", False)))
+        morphisms = [Morphism(m["name"], m["src"], m["dst"], _iso_flag(m))
                      for m in data["morphisms"]]
         return cls(data["objects"], morphisms,
                    [tuple(t) for t in data.get("compose", [])],
                    data.get("identities", {}))
 
     def hom(self, src_obj, dst_obj):
-        return sorted(m.name for m in self.morphisms.values()
-                      if m.src == src_obj and m.dst == dst_obj)
+        return list(self.homs.get((src_obj, dst_obj), ()))
 
-    def endos(self, obj):
-        return self.hom(obj, obj)
-
-    def iso_classes(self):
+    def class_index(self):
+        """Isomorphism classes (by least name) and each object's index."""
         parent = {x: x for x in self.objects}
 
         def find(x):
@@ -276,10 +304,15 @@ class CatPresentation:
                 a, b = find(m.src), find(m.dst)
                 if a != b:
                     parent[max(a, b)] = min(a, b)
-        classes = {}
+        roots = {}
         for x in self.objects:
-            classes.setdefault(find(x), []).append(x)
-        return [sorted(v) for _, v in sorted(classes.items())]
+            roots.setdefault(find(x), []).append(x)
+        classes = [sorted(v) for _, v in sorted(roots.items())]
+        return classes, {x: idx for idx, cls_objs in enumerate(classes)
+                         for x in cls_objs}
+
+    def iso_classes(self):
+        return self.class_index()[0]
 
 
 @dataclass
@@ -306,39 +339,30 @@ def check_poset_in_groupoids(cat):
     (through the declared table) acts transitively on them.  Thinness is
     reported but not required.
     """
-    classes = cat.iso_classes()
-    of = {}
-    for idx, cls_objs in enumerate(classes):
-        for x in cls_objs:
-            of[x] = idx
+    classes, of = cat.class_index()
     not_invertible = sorted(
         m.name for m in cat.morphisms.values()
         if of[m.src] == of[m.dst] and not m.invertible)
     orbit_witnesses = []
-    for x in cat.objects:
-        for y in cat.objects:
-            if of[x] == of[y]:
-                continue
-            hom = cat.hom(x, y)
-            if len(hom) < 2:
-                continue
-            ends_x, ends_y = cat.endos(x), cat.endos(y)
-            orbit = {hom[0]}
-            frontier = [hom[0]]
-            while frontier:
-                f = frontier.pop()
-                moved = [cat.compose.get((e, f)) for e in ends_x]
-                moved += [cat.compose.get((f, e)) for e in ends_y]
-                for g in moved:
-                    if g is not None and g not in orbit:
-                        orbit.add(g)
-                        frontier.append(g)
-            for g in hom:
-                if g not in orbit:
-                    orbit_witnesses.append((hom[0], g))
-                    break
-    thin = all(len(cat.hom(x, y)) <= 1
-               for x in cat.objects for y in cat.objects)
+    for (x, y), hom in cat.homs.items():
+        if of[x] == of[y] or len(hom) < 2:
+            continue
+        ends_x, ends_y = cat.hom(x, x), cat.hom(y, y)
+        orbit = {hom[0]}
+        frontier = [hom[0]]
+        while frontier:
+            f = frontier.pop()
+            moved = [cat.compose.get((e, f)) for e in ends_x]
+            moved += [cat.compose.get((f, e)) for e in ends_y]
+            for g in moved:
+                if g is not None and g not in orbit:
+                    orbit.add(g)
+                    frontier.append(g)
+        for g in hom:
+            if g not in orbit:
+                orbit_witnesses.append((hom[0], g))
+                break
+    thin = all(len(h) <= 1 for h in cat.homs.values())
     ok = not not_invertible and not orbit_witnesses
     return PosetCheckResult(ok, classes, not_invertible,
                             orbit_witnesses, thin)
@@ -377,17 +401,9 @@ def quotient_T(cat):
     edges.  Longest downward paths are computed and the top verdict holds
     when exactly one class starts a maximal-length path.
     """
-    classes = cat.iso_classes()
+    classes, of = cat.class_index()
     reps = [c[0] for c in classes]
-    of = {}
-    for idx, cls_objs in enumerate(classes):
-        for x in cls_objs:
-            of[x] = idx
-    arrows = set()
-    for m in cat.morphisms.values():
-        a, b = of[m.src], of[m.dst]
-        if a != b:
-            arrows.add((a, b))
+    arrows = {(of[x], of[y]) for x, y in cat.homs if of[x] != of[y]}
     succ = [[] for _ in classes]
     for a, b in sorted(arrows):
         succ[a].append(b)

@@ -248,6 +248,49 @@ def test_diagram_category_json_verdict(tmp_path, capsys):
     assert doc["quotient"]["unique_top"] is True
 
 
+@pytest.mark.parametrize("iso", ["false", "no", 0, 1, None])
+def test_diagram_category_rejects_non_boolean_iso(tmp_path, capsys, iso):
+    # a truthy string once made f invertible and merged a with b
+    inp = write(tmp_path, "cat.json", {
+        "objects": ["a", "b"],
+        "morphisms": [{"name": "ia", "src": "a", "dst": "a", "iso": True},
+                      {"name": "ib", "src": "b", "dst": "b", "iso": True},
+                      {"name": "f", "src": "a", "dst": "b", "iso": iso}],
+        "identities": {"a": "ia", "b": "ib"}})
+    code, out, err = run(capsys, "diagram", "category", "--input", inp,
+                         "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("pairs", {"i_range": [0.7, 1.2]}),
+    ("pairs", {"i_range": [0, True]}),
+    ("pairs", {"i_range": ["0"]}),
+    ("pairs", {"fstar_shift": True}),
+    ("pairs", {"fstar_shift": 1.0}),
+    ("equivariant", {"i_range": [0.5]}),
+    ("equivariant", {"w_range": [0, False]}),
+    ("equivariant", {"w_range": [1.0]}),
+])
+def test_diagram_rejects_non_integer_ranges(tmp_path, capsys, kind, extra):
+    inp = write(tmp_path, "d.json", {"ladders": [["X", "Y", "Z"]], **extra})
+    code, out, err = run(capsys, "diagram", kind, "--input", inp, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("apply", "--op", "sigma:2"),
+                                  ("diagram", "pairs")])
+def test_deeply_nested_input_is_an_input_error(tmp_path, capsys, argv):
+    depth = 200000
+    inp = tmp_path / "deep.json"
+    inp.write_text("[" * depth + "]" * depth)
+    code, out, err = run(capsys, *argv, "--input", str(inp))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nests too deeply" in err
+
+
 def test_missing_input_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "apply", "--op", "sigma:2",
                        "--input", "/definitely/not/there.json")
