@@ -22,12 +22,20 @@ mod L, the lift by k spreads i over i/k + j*L/k and the torsion shift adds
 multiples of L/k.  Each public operator codes at the least level its
 output needs, and each law cell at one level that holds both sides of
 every law it checks, so the two sides compare as plain dicts.
+
+One helper, ``_count``, sums every expansion.  It groups the input terms
+by coefficient, counts each group's sorted entry combinations in one
+``Counter`` (so the per-combination work runs in C) and merges the groups
+with their coefficients.  Zero coefficients are dropped only when some
+input coefficient is not positive: positive terms cannot cancel.
 """
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, starmap
 from math import gcd, lcm
+from operator import add
 
 from .symbols import (FormalSum, Symbol, canonicalize, enumerate_symbols,
                       minus_canonicalize, relation_matrix, TWO_TORSION,
@@ -41,36 +49,45 @@ def _check_k(k):
         raise ValueError("operator index must be a positive integer")
 
 
-def _lifts(k, L, i):
-    """The k preimages of the code i under scaling by k; k divides L and i."""
-    return range(i // k, L, L // k)
+def _count(runs):
+    """Sum c * <sorted combo> over (c, iterator of entry combos) pairs."""
+    groups = defaultdict(Counter)
+    for c, run in runs:
+        groups[c].update(map(tuple, map(sorted, run)))
+    out = {}
+    for c, counts in groups.items():
+        if not out and c == 1:
+            out = dict(counts)
+            continue
+        for t, m in counts.items():
+            out[t] = out.get(t, 0) + c * m
+    if all(c > 0 for c in groups):
+        return out
+    return {t: c for t, c in out.items() if c}
+
+
+def _concat(a, b):
+    """Sum ca*cb * <u + v> over the terms (u, ca) of a and (v, cb) of b."""
+    ga, gb = {}, {}
+    for g, sums in ((ga, a), (gb, b)):
+        for t, c in sums.items():
+            g.setdefault(c, []).append(t)
+    return _count((ca * cb, starmap(add, product(us, vs)))
+                  for (ca, us), (cb, vs) in product(ga.items(), gb.items()))
 
 
 def _raw_sigma(k, L, sums):
-    out = {}
-    for t, c in sums.items():
-        key = tuple(sorted(k * i % L for i in t))
-        out[key] = out.get(key, 0) + c
-    return {t: c for t, c in out.items() if c}
+    return _count((c, [[k * i % L for i in t]]) for t, c in sums.items())
 
 
 def _raw_rho(k, L, sums):
-    out = {}
-    for t, c in sums.items():
-        for combo in product(*[_lifts(k, L, i) for i in t]):
-            key = tuple(sorted(combo))
-            out[key] = out.get(key, 0) + c
-    return {t: c for t, c in out.items() if c}
+    return _count((c, product(*[range(i // k, L, L // k) for i in t]))
+                  for t, c in sums.items())
 
 
 def _raw_e(k, L, sums):
-    shifts = range(0, L, L // k)
-    out = {}
-    for t, c in sums.items():
-        for combo in product(shifts, repeat=len(t)):
-            key = tuple(sorted((i + s) % L for i, s in zip(t, combo)))
-            out[key] = out.get(key, 0) + c
-    return {t: c for t, c in out.items() if c}
+    return _count((c, product(*[range(i % (L // k), L, L // k) for i in t]))
+                  for t, c in sums.items())
 
 
 def sigma_op(k, x):
@@ -102,14 +119,6 @@ def e_op(k, x):
     return _wrap(_raw_e(k, L, _raw_of(x, L)), L, x.arity, x.rational)
 
 
-def _nabla_tuples(ell, L, tx, ty):
-    out = {}
-    for lift in product(*[_lifts(ell, L, i) for i in tx]):
-        key = tuple(sorted(lift + ty))
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 def nabla_op(ell, x, y, strict=True):
     """Level-ell product: sum over lifts of the first factor, concatenated.
 
@@ -120,16 +129,11 @@ def nabla_op(ell, x, y, strict=True):
     """
     if not isinstance(ell, int) or ell < 2:
         raise ValueError("product level must be an integer >= 2")
+    if strict and any(ell % a.order for sy in y.terms for a in sy):
+        raise ValueError("entry order does not divide the level")
     L = _level(x, y) * ell
-    out = {}
-    for sy, cy in y.terms.items():
-        if strict and any(ell % a.order for a in sy):
-            raise ValueError("entry order does not divide the level")
-        ty = _enc(sy, L)
-        for sx, cx in x.terms.items():
-            for t, m in _nabla_tuples(ell, L, _enc(sx, L), ty).items():
-                out[t] = out.get(t, 0) + m * cx * cy
-    arity = x.arity + y.arity if out else 0
+    out = _concat(_raw_rho(ell, L, _raw_of(x, L)), _raw_of(y, L))
+    arity = x.arity + y.arity if x.terms and y.terms else 0
     return _wrap(out, L, arity, x.rational or y.rational)
 
 
@@ -275,7 +279,9 @@ def _lemma48_cell(laws, info, n, N, ks):
         x = {t: 1}
         tag = {"n": n, "N": N, "symbol": sym.to_json()}
         sig = {k: _raw_sigma(k, L, x) for k in ks}
-        rho = {k: _raw_rho(k, L, x) for k in ks}
+        # each lift rho_k(x) and rho_kl(x) is expanded once
+        rho = {k: _raw_rho(k, L, x)
+               for k in {*ks, *(k * l for k in ks for l in ks)}}
         for k in ks:
             for l in ks:
                 lhs = _raw_sigma(k, L, sig[l])
@@ -283,14 +289,14 @@ def _lemma48_cell(laws, info, n, N, ks):
                 laws["scale_multiplicative"].record(
                     lhs == rhs, {**tag, "k": k, "l": l})
                 lhs = _raw_rho(k, L, rho[l])
-                rhs = _raw_rho(k * l, L, x)
                 laws["lift_multiplicative"].record(
-                    lhs == rhs, {**tag, "k": k, "l": l})
+                    lhs == rho[k * l], {**tag, "k": k, "l": l})
                 if gcd(k, l) == 1:
                     lhs = _raw_sigma(k, L, rho[l])
                     rhs = _raw_rho(l, L, sig[k])
                     laws["scale_lift_commute"].record(
                         lhs == rhs, {**tag, "k": k, "l": l})
+        xs, xq = FormalSum.of(sym), FormalSum.of(sym, rational=True)
         for k in ks:
             lhs = _raw_rho(k, L, sig[k])
             rhs = _raw_e(k, L, x)
@@ -299,13 +305,11 @@ def _lemma48_cell(laws, info, n, N, ks):
             lhs = _raw_sigma(k, L, rho[k])
             rhs = {t: k ** n}
             laws["scale_lift_scalar"].record(lhs == rhs, {**tag, "k": k})
-            xq = FormalSum.of(sym, rational=True)
             back = sigma_op(k, rho_hat_op(k, xq))
             laws["averaged_lift_section"].record(back == xq, {**tag, "k": k})
         # the projected composites genuinely deviate on annihilated symbols
         for k in ks:
             if not any(any(u) for u in sig[k]):
-                xs = FormalSum.of(sym)
                 for l in ks:
                     if gcd(k, l) == 1:
                         lp = sigma_op(k, rho_op(l, xs))
@@ -339,24 +343,20 @@ def _ringhom_cell(law, n1, m1, n2, m2, ks):
     L = lcm(m1, m2) * lcm(*ks) ** 2
 
     def coded(n, m):
-        out = []
         for s in enumerate_symbols(n, m):
-            t = _enc(s, L)
-            out.append((s, t, {k: _raw_rho(k, L, {t: 1}) for k in ks}))
-        return out
+            t = {_enc(s, L): 1}
+            yield s, t, {k: _raw_rho(k, L, t) for k in ks}
 
-    ys = coded(n2, m2)
-    for sx, tx, rx in coded(n1, m1):
-        for sy, ty, ry in ys:
+    ys = list(coded(n2, m2))
+    for sx, x, rx in coded(n1, m1):
+        # rho_ell(rho_k x) is expanded once per x, not once per y
+        lifted = {(ell, k): _raw_rho(ell, L, rx[k]) for ell in ks for k in ks}
+        for sy, y, ry in ys:
             for ell in ks:
-                prod_xy = _nabla_tuples(ell, L, tx, ty)
+                prod_xy = _concat(rx[ell], y)
                 for k in ks:
                     lhs = _raw_rho(k, L, prod_xy)
-                    rhs = {}
-                    for u, cu in rx[k].items():
-                        for v, cv in ry[k].items():
-                            for t, m in _nabla_tuples(ell, L, u, v).items():
-                                rhs[t] = rhs.get(t, 0) + m * cu * cv
+                    rhs = _concat(lifted[ell, k], ry[k])
                     law.record(lhs == rhs,
                                {"nx": n1, "mx": m1, "ny": n2, "my": m2,
                                 "k": k, "l": ell, "x": sx.to_json(),

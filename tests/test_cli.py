@@ -1,6 +1,8 @@
 """Command line interface: outputs, wire formats, exit codes."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -100,6 +102,22 @@ def test_apply_rejects_bad_wire_numbers(tmp_path, capsys, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("op, entries, size", [
+    ("rho:99999999999", ["1/3", "1/5"], "99999999999^2"),
+    ("rhohat:99999999999", ["1/3", "1/5"], "99999999999^2"),
+    ("ek:99999999999", ["1/3", "1/5"], "99999999999^2"),
+    ("rho:2", ["1/3"] * 40, "2^40"),
+])
+def test_apply_refuses_huge_expansions(tmp_path, capsys, op, entries, size):
+    inp = write(tmp_path, "x.json", [{"c": 1, "s": entries}])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "apply", "--op", op, "--input", inp)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "1 term(s) into %s tuples each" % size in err
+
+
 def test_laws_text_and_exit(capsys):
     code, out, _ = run(capsys, "laws", "--suite", "lemma48",
                        "--max-n", "1", "--max-N", "4", "--ks", "2,3")
@@ -118,6 +136,23 @@ def test_laws_json_deterministic(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["suite"] == "coalg" and doc["failures_total"] == 0
+
+
+# SHA-256 of whole `laws --json` documents: they pin the informational
+# rows and sample payloads as well as the check counts
+@pytest.mark.parametrize("suite, max_n, max_N, digest", [
+    ("lemma48", "2", "5",
+     "f7e045ca5106c65b98664f2adef2c2a000e4a6189216953fd9dd04499cc33ce2"),
+    ("ringhom", "1", "5",
+     "62d14d6e8f2c5b3452dd6f92c34847211941f376c7fd94a013eb12f6113ce8a0"),
+    ("coalg", "3", "6",
+     "97ff25712967351a087b598061341e16e0a54610ae75a4df4ae27a0525608e86"),
+], ids=["lemma48", "ringhom", "coalg"])
+def test_laws_json_is_frozen(capsys, suite, max_n, max_N, digest):
+    code, out, _ = run(capsys, "laws", "--suite", suite, "--max-n", max_n,
+                       "--max-N", max_N, "--ks", "2,3", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_burnside_boundary(tmp_path, capsys):

@@ -13,6 +13,7 @@ from birmod import (DeltaSum, FormalSum, QZ, canonicalize, check_laws,
                     nabla_op, preimages, relation_rows, rho_hat_op, rho_op,
                     sigma_op, split_by_modulus, torsion)
 from birmod.linalg import Echelon
+from birmod.ops import _concat, _raw_e, _raw_rho, _raw_sigma
 
 
 def S(*entries):
@@ -194,6 +195,98 @@ def test_nabla_matches_qz_reference(ell, data):
     z = data.draw(int_sums(max_arity=2))
     assert nabla_op(ell, x, y) == nabla_reference(ell, x, y)
     assert nabla_op(ell, x, z, strict=False) == nabla_reference(ell, x, z)
+
+
+# loop references for the codec expansions: every combination is visited
+# in Python and added into a plain dict, zero coefficients always dropped
+
+def _drop_zeros(out):
+    return {t: c for t, c in out.items() if c}
+
+
+def sigma_reference(k, L, sums):
+    out = {}
+    for t, c in sums.items():
+        key = tuple(sorted(k * i % L for i in t))
+        out[key] = out.get(key, 0) + c
+    return _drop_zeros(out)
+
+
+def rho_reference(k, L, sums):
+    out = {}
+    for t, c in sums.items():
+        for combo in product(*[range(i // k, L, L // k) for i in t]):
+            key = tuple(sorted(combo))
+            out[key] = out.get(key, 0) + c
+    return _drop_zeros(out)
+
+
+def e_reference(k, L, sums):
+    shifts = range(0, L, L // k)
+    out = {}
+    for t, c in sums.items():
+        for combo in product(shifts, repeat=len(t)):
+            key = tuple(sorted((i + s) % L for i, s in zip(t, combo)))
+            out[key] = out.get(key, 0) + c
+    return _drop_zeros(out)
+
+
+def concat_reference(a, b):
+    out = {}
+    for u, ca in a.items():
+        for v, cb in b.items():
+            key = tuple(sorted(u + v))
+            out[key] = out.get(key, 0) + ca * cb
+    return _drop_zeros(out)
+
+
+@strat.composite
+def coded_sums(draw, L, step):
+    """Coded sums of one arity at level L, entries multiples of step.
+
+    Coefficients are nonzero ints and Fractions of either sign, mixed in
+    one sum.  A term may bring its reversed tuple at the negated
+    coefficient: both expand to the same sorted tuples, which cancel.
+    """
+    n = draw(strat.integers(min_value=1, max_value=3))
+    entry = strat.integers(min_value=0, max_value=L // step - 1).map(
+        lambda j: j * step)
+    coeff = strat.one_of(
+        strat.integers(min_value=-3, max_value=3),
+        strat.fractions(min_value=-2, max_value=2, max_denominator=4),
+    ).filter(bool)
+    terms = strat.tuples(strat.tuples(*[entry] * n), coeff, strat.booleans())
+    sums = {}
+    for t, c, cancel in draw(strat.lists(terms, min_size=1, max_size=4)):
+        sums[t] = c
+        if cancel and t[::-1] != t:
+            sums[t[::-1]] = -c
+    return sums
+
+
+def test_codec_expansions_cancel_to_a_plain_empty_dict():
+    pair = {(2, 4): 1, (4, 2): -1}
+    for out in (_raw_sigma(2, 8, pair), _raw_rho(2, 8, pair),
+                _raw_e(2, 8, pair), _concat(pair, {(1,): Fraction(1, 2)})):
+        assert out == {} and type(out) is dict
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(ops_k, strat.integers(min_value=2, max_value=6),
+                  strat.data())
+def test_codec_expansions_match_loop_reference(k, N, data):
+    L = N * k
+    lift_input = data.draw(coded_sums(L, k))
+    x = data.draw(coded_sums(L, 1))
+    y = data.draw(coded_sums(L, 1))
+    for got, want in ((_raw_sigma(k, L, x), sigma_reference(k, L, x)),
+                      (_raw_rho(k, L, lift_input),
+                       rho_reference(k, L, lift_input)),
+                      (_raw_e(k, L, x), e_reference(k, L, x)),
+                      (_concat(x, y), concat_reference(x, y))):
+        assert type(got) is dict
+        assert got == want
+        assert all(got.values())
 
 
 def test_check_laws_small_grid_passes():
