@@ -96,15 +96,18 @@ def cmd_apply(args):
                                  % (args.op, len(x.terms), k, x.arity,
                                     MAX_APPLY_TUPLES))
     result = _APPLY_OPS[name](k, x)
+    to_file = args.out and args.out != "-"
+    # the result is sorted once: into JSON, or into its text form
+    if not (args.json or to_file):
+        print(repr(result))
+        return 0
     body = result.to_json()
-    if args.out and args.out != "-":
+    if to_file:
         with open(args.out, "w") as fh:
             json.dump(body, fh, sort_keys=True, indent=2)
             fh.write("\n")
     if args.json:
         _emit_json({"op": args.op, "result": body})
-    elif not args.out or args.out == "-":
-        print(repr(result))
     return 0
 
 

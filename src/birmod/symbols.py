@@ -12,7 +12,7 @@ Internally a symbol is coded at a level L, a positive integer that every
 entry denominator divides: the entry a/d becomes the int a*L/d in
 [0, L).  The code is monotone, so a sorted symbol codes to a sorted int
 tuple and decodes without re-sorting; the coded tuple t has modulus
-L // gcd(L, *t).  Enumeration, relation rows and the operators in ``ops``
+L // gcd(L, *t).  Enumeration, relation rows, the signed form and ``ops``
 work on codes; results are decoded only where they are handed out.
 """
 
@@ -364,29 +364,30 @@ def relation_matrix(n, N, minus=False):
     return RelationMatrix(n, N, minus)
 
 
+def _minus_rep(t, L):
+    """``minus_canonicalize`` on a coded tuple t, entries in [0, L).
+
+    The least tuple takes min(i, -i mod L) in each entry.  No other flips
+    reach it, save those of entries that are their own negative.
+    """
+    rep = tuple(sorted(min(i, -i % L) for i in t))
+    if any(i == -i % L for i in t):
+        return rep, TWO_TORSION
+    return rep, (-1) ** sum(i > -i % L for i in t)
+
+
 def minus_canonicalize(symbol):
     """Least representative of the signed class of a symbol.
 
-    Scans all entrywise negation patterns; returns (least tuple, sign) where
+    Over all entrywise negation patterns, returns (least tuple, sign) where
     sign is +1 or -1 by flip parity, or TWO_TORSION when the least tuple is
     reachable with both parities (then twice the class vanishes in the
     signed quotient, and the class dies over Q).
     """
     symbol = symbol if isinstance(symbol, Symbol) else canonicalize(symbol)
-    n = len(symbol)
-    best = None
-    parities = set()
-    for mask in range(1 << n):
-        cand = canonicalize(
-            -a if mask >> i & 1 else a for i, a in enumerate(symbol))
-        par = bin(mask).count("1") & 1
-        if best is None or cand < best:
-            best, parities = cand, {par}
-        elif cand == best:
-            parities.add(par)
-    if len(parities) == 2:
-        return best, TWO_TORSION
-    return best, (1 if 0 in parities else -1)
+    L = symbol.modulus
+    rep, sign = _minus_rep(_enc(symbol, L), L)
+    return _dec(rep, L), sign
 
 
 def minus_reduce(fs):

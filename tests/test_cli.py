@@ -7,6 +7,7 @@ import time
 import pytest
 
 from birmod.cli import main
+from birmod.symbols import FormalSum
 
 
 def run(capsys, *argv):
@@ -61,6 +62,19 @@ def test_apply_text_and_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     assert json.loads(dest.read_text()) == [{"c": 1, "s": ["1/6"]},
                                             {"c": 1, "s": ["2/3"]}]
+
+
+def test_apply_text_does_not_build_json(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("to_json called for text output")
+
+    monkeypatch.setattr(FormalSum, "to_json", refuse)
+    inp = write(tmp_path, "x.json", [{"c": 1, "s": ["1/3"]}])
+    for extra in ((), ("--out", "-")):
+        code, out, _ = run(capsys, "apply", "--op", "rho:2", "--input", inp,
+                           *extra)
+        assert code == 0
+        assert out == "1*<1/6> + 1*<2/3>\n"
 
 
 def test_apply_sigma_annihilates(tmp_path, capsys):
@@ -147,7 +161,10 @@ def test_laws_json_deterministic(capsys):
      "62d14d6e8f2c5b3452dd6f92c34847211941f376c7fd94a013eb12f6113ce8a0"),
     ("coalg", "3", "6",
      "97ff25712967351a087b598061341e16e0a54610ae75a4df4ae27a0525608e86"),
-], ids=["lemma48", "ringhom", "coalg"])
+    # 120 non-coprime coproduct rows, none of which the 3/6 grid has
+    ("coalg", "3", "12",
+     "5d144f38da713ad12ca74f19d46ae6254459f4ef7eb8ce3b50a3609bc24c2f65"),
+], ids=["lemma48", "ringhom", "coalg", "coalg-non-coprime"])
 def test_laws_json_is_frozen(capsys, suite, max_n, max_N, digest):
     code, out, _ = run(capsys, "laws", "--suite", suite, "--max-n", max_n,
                        "--max-N", max_N, "--ks", "2,3", "--json")

@@ -2,18 +2,22 @@
 law-verification drivers."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from birmod import (DeltaSum, FormalSum, QZ, canonicalize, check_laws,
-                    delta_op, descent_failures, e_op, enumerate_symbols,
-                    nabla_op, preimages, relation_rows, rho_hat_op, rho_op,
-                    sigma_op, split_by_modulus, torsion)
+from birmod import (TWO_TORSION, DeltaSum, FormalSum, QZ, Symbol,
+                    canonicalize, check_laws, delta_op, descent_failures,
+                    e_op, enumerate_symbols, minus_canonicalize, nabla_op,
+                    preimages, relation_rows, rho_hat_op, rho_op, sigma_op,
+                    split_by_modulus, torsion)
 from birmod.linalg import Echelon
-from birmod.ops import _concat, _raw_e, _raw_rho, _raw_sigma
+from birmod.ops import (_concat, _delta_sum, _raw_delta, _raw_e, _raw_rho,
+                        _raw_sigma)
+from birmod.symbols import _level, _raw_of
 
 
 def S(*entries):
@@ -92,13 +96,12 @@ def test_delta_examples():
     assert d.items() == [((1, 1), S("1/2"), S("1/3"), 1)]
     assert delta_op(one("1/2", "1/2")).is_zero()
     assert delta_op(one("1/5")).is_zero()
-    with pytest.raises(ValueError):
-        delta_op(one("1/6", "1/3"), N=3)
 
 
-def test_delta_map_sigma_coprime_example():
-    x = one("1/6", "1/3")
-    assert delta_op(x, 6).map_sigma(5) == delta_op(sigma_op(5, x), 6)
+def test_coalg_law_holds_at_coprime_scale():
+    # the grid holds <1/6, 1/3>, and 5 is prime to every modulus but 5
+    rep = check_laws("coalg", 2, 6, (5,))
+    assert rep.failures_total == 0 and rep.laws[0].checked > 0
 
 
 def test_split_by_modulus():
@@ -287,6 +290,97 @@ def test_codec_expansions_match_loop_reference(k, N, data):
         assert type(got) is dict
         assert got == want
         assert all(got.values())
+
+
+# QZ references for the signed form and the coproduct: every negation
+# pattern is scanned, and the k-scaled coproduct is the coproduct with
+# both legs then scaled by k and the right one re-canonicalized
+
+def minus_reference(symbol):
+    best, parities = None, set()
+    for mask in range(1 << len(symbol)):
+        cand = canonicalize(
+            -a if mask >> i & 1 else a for i, a in enumerate(symbol))
+        par = bin(mask).count("1") & 1
+        if best is None or cand < best:
+            best, parities = cand, {par}
+        elif cand == best:
+            parities.add(par)
+    if len(parities) == 2:
+        return best, TWO_TORSION
+    return best, (1 if 0 in parities else -1)
+
+
+def delta_reference(x):
+    out = DeltaSum()
+    for s, coeff in x.terms.items():
+        n = len(s)
+        for r in range(1, n):
+            for right_pos in combinations(range(n), r):
+                sub = tuple(s[i] for i in right_pos)
+                m = lcm(*[a.order for a in sub])
+                if m < 2:
+                    continue
+                left = tuple(sorted(s[i] * m for i in range(n)
+                                    if i not in right_pos))
+                if not any(left):
+                    continue
+                rep, sign = minus_reference(canonicalize(sub))
+                if sign == TWO_TORSION:
+                    continue
+                out.add((n - r, r), Symbol(left), rep, sign * coeff)
+    return out
+
+
+def map_sigma_reference(d, k):
+    out = DeltaSum()
+    for split, l, r, c in d.items():
+        left = tuple(sorted(a * k for a in l))
+        if not any(left):
+            continue
+        rep, sign = minus_reference(canonicalize(a * k for a in r))
+        if sign == TWO_TORSION:
+            continue
+        out.add(split, Symbol(left), rep, sign * c)
+    return out
+
+
+@strat.composite
+def coproduct_sums(draw):
+    """Sums of arity 1 to 4 with zero and two-torsion entries.
+
+    A term may bring its twin with one entry negated at the same
+    coefficient.  In a split whose right leg holds that entry the two
+    signed forms agree with opposite signs, so those coproduct terms
+    cancel.
+    """
+    n = draw(strat.integers(min_value=1, max_value=4))
+    entry = strat.one_of(strat.sampled_from([QZ(0), QZ(1, 2)]),
+                         qz_entries(max_den=12))
+    terms = strat.tuples(strat.lists(entry, min_size=n, max_size=n),
+                         strat.integers(min_value=-3, max_value=3),
+                         strat.booleans())
+    pairs = []
+    for entries, c, twin in draw(strat.lists(terms, min_size=1,
+                                             max_size=4)):
+        pairs.append((entries, c))
+        if twin:
+            pairs.append(([-entries[0]] + entries[1:], c))
+    return qz_sum(pairs)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(coproduct_sums(), strat.integers(min_value=1, max_value=6))
+def test_coproduct_and_signed_form_match_qz_reference(x, k):
+    for s in x.terms:
+        assert minus_canonicalize(s) == minus_reference(s)
+        scaled = canonicalize(k * a for a in s)
+        assert minus_canonicalize(scaled) == minus_reference(scaled)
+    d = delta_reference(x)
+    assert delta_op(x) == d
+    L = _level(x)
+    got = _delta_sum(_raw_delta(k, L, _raw_of(x, L)), L)
+    assert got == map_sigma_reference(d, k)
 
 
 def test_check_laws_small_grid_passes():
