@@ -18,6 +18,7 @@ equality of the declared classes.
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 _AFFINE_SUFFIX = re.compile(r"^(.*) x A\^(\d+)$")
@@ -68,24 +69,23 @@ class BurnGen:
 
 
 class BurnElem:
-    """Integer combination of generators."""
+    """Integer combination of generators.
+
+    Built, as a dict is, from a mapping or from (generator, coefficient)
+    pairs; coefficients of equal generators add and zeros are dropped.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
-        for g, c in (terms or {}).items():
-            if c:
-                clean[g] = clean.get(g, 0) + c
+        for g, c in terms.items() if hasattr(terms, "items") else terms or ():
+            clean[g] = clean.get(g, 0) + c
         self.terms = {g: c for g, c in clean.items() if c}
 
     @classmethod
     def of(cls, gen, c=1):
         return cls({gen: c})
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     def items(self):
         return sorted(self.terms.items(),
@@ -104,10 +104,7 @@ class BurnElem:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, 0) + c
-        return BurnElem(out)
+        return BurnElem(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return BurnElem({g: -c for g, c in self.terms.items()})
@@ -191,13 +188,9 @@ def boundary_snc(model, target=None):
     """Signed sum of stratum-times-affine classes over the target label."""
     if target is None:
         target = model.boundary_target
-    out = {}
-    for key, st in model.strata.items():
-        t = len(key)
-        sign = 1 if t % 2 else -1
-        gen = BurnGen(st.name, t - 1, target, st.dim + t - 1)
-        out[gen] = out.get(gen, 0) + sign
-    return BurnElem(out)
+    depths = ((len(key), st) for key, st in model.strata.items())
+    return BurnElem((BurnGen(st.name, t - 1, target, st.dim + t - 1),
+                     (-1) ** (t - 1)) for t, st in depths)
 
 
 def check_grading(elem, expected_dim):
@@ -243,11 +236,7 @@ class RewriteRules:
                        gen.dim)
 
     def apply_elem(self, elem):
-        out = {}
-        for g, c in elem.terms.items():
-            h = self.apply_gen(g)
-            out[h] = out.get(h, 0) + c
-        return BurnElem(out)
+        return BurnElem((self.apply_gen(g), c) for g, c in elem.terms.items())
 
 
 def pushforward(elem, relabel, rules=None):
@@ -257,13 +246,11 @@ def pushforward(elem, relabel, rules=None):
     are then normalized through the rewrite rules and like generators
     merge.
     """
-    out = {}
-    for g, c in elem.terms.items():
+    for g in elem.terms:
         if g.target not in relabel:
             raise ValueError("target label %r is not mapped" % g.target)
-        h = BurnGen(g.source, g.affine, relabel[g.target], g.dim)
-        out[h] = out.get(h, 0) + c
-    res = BurnElem(out)
+    res = BurnElem((BurnGen(g.source, g.affine, relabel[g.target], g.dim), c)
+                   for g, c in elem.terms.items())
     if rules is not None:
         res = rules.apply_elem(res)
     return res
@@ -330,12 +317,9 @@ class CyclicAction:
 
     def act(self, elem):
         """Relabel sources and targets of a boundary class."""
-        out = {}
-        for g, c in elem.terms.items():
-            h = BurnGen(self.perm.get(g.source, g.source), g.affine,
-                        self.perm.get(g.target, g.target), g.dim)
-            out[h] = out.get(h, 0) + c
-        return BurnElem(out)
+        return BurnElem((BurnGen(self.perm.get(g.source, g.source), g.affine,
+                                 self.perm.get(g.target, g.target), g.dim), c)
+                        for g, c in elem.terms.items())
 
 
 @dataclass
@@ -366,18 +350,17 @@ def tower_boundary_check(model_xy, model_yz, edge_map, rules=None):
     big = boundary_snc(model_xy)
     if rules is not None:
         big = rules.apply_elem(big)
-    transported = BurnElem.zero()
-    unmapped = []
+    images, unmapped = [], []
     for g, c in big.items():
         if g.composite not in edge_map:
             unmapped.append(g.composite)
             continue
         image = edge_map[g.composite]
-        if image is None:
-            continue
         if isinstance(image, BurnGen):
-            image = BurnElem.of(image)
-        transported = transported + image.scale(c)
+            images.append((image, c))
+        elif image is not None:
+            images.extend((h, c * d) for h, d in image.terms.items())
+    transported = BurnElem(images)
     expected = boundary_snc(model_yz)
     if rules is not None:
         transported = rules.apply_elem(transported)

@@ -8,23 +8,29 @@ the symbol module, where the all-zero class is projected away, is the
 point of carrying this model alongside.
 """
 
+from itertools import chain
+
 from .qz import QZ, preimages, qz
 
 
 class GroupRingElem:
-    """Finite integer combination of group elements of Q/Z."""
+    """Finite integer combination of group elements of Q/Z.
+
+    Built, as a dict is, from a mapping or from (element, coefficient)
+    pairs; coefficients of equal elements add and zeros are dropped.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         clean = {}
-        for r, c in (coeffs or {}).items():
+        pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
+        for r, c in pairs:
             if not isinstance(r, QZ):
                 raise ValueError("group element must be a QZ value")
             if not isinstance(c, int):
                 raise ValueError("coefficients must be integers")
-            if c:
-                clean[r] = clean.get(r, 0) + c
+            clean[r] = clean.get(r, 0) + c
         self.coeffs = {r: c for r, c in clean.items() if c}
 
     @classmethod
@@ -49,10 +55,7 @@ class GroupRingElem:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for r, c in other.coeffs.items():
-            out[r] = out.get(r, 0) + c
-        return GroupRingElem(out)
+        return GroupRingElem(chain(self.coeffs.items(), other.coeffs.items()))
 
     def __neg__(self):
         return GroupRingElem({r: -c for r, c in self.coeffs.items()})
@@ -78,33 +81,22 @@ class GroupRingElem:
 
     @classmethod
     def from_json(cls, data):
-        out = {}
-        for item in data:
-            r = qz(item["e"])
-            out[r] = out.get(r, 0) + int(item["c"])
-        return cls(out)
+        return cls((qz(item["e"]), int(item["c"])) for item in data)
 
 
 def gr_sigma(k, x):
     """Scale every group element by k; e(0) stays, nothing is dropped."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("operator index must be a positive integer")
-    out = {}
-    for r, c in x.coeffs.items():
-        s = r * k
-        out[s] = out.get(s, 0) + c
-    return GroupRingElem(out)
+    return GroupRingElem((r * k, c) for r, c in x.coeffs.items())
 
 
 def gr_rho(k, x):
     """Sum over the k preimages of every group element."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("operator index must be a positive integer")
-    out = {}
-    for r, c in x.coeffs.items():
-        for p in preimages(r, k):
-            out[p] = out.get(p, 0) + c
-    return GroupRingElem(out)
+    return GroupRingElem((p, c) for r, c in x.coeffs.items()
+                         for p in preimages(r, k))
 
 
 def bridge(fs):
@@ -119,8 +111,4 @@ def bridge(fs):
         raise ValueError("bridge is defined on integer sums")
     if fs.terms and fs.arity != 1:
         raise ValueError("bridge is defined on arity-1 sums")
-    out = {}
-    for s, c in fs.terms.items():
-        r = s[0]
-        out[r] = out.get(r, 0) + int(c)
-    return GroupRingElem(out)
+    return GroupRingElem((s[0], int(c)) for s, c in fs.terms.items())

@@ -36,16 +36,8 @@ SNF_MAX_CORE_COLS = 5000
 
 def _primitive(row):
     """Scale a sparse row to integers and divide out the content."""
-    items = [(c, v) for c, v in row.items() if v]
-    if not items:
-        return {}
-    mult = lcm(*[Fraction(v).denominator for _, v in items]) if any(
-        isinstance(v, Fraction) and v.denominator != 1 for _, v in items) else 1
-    ints = {c: int(v * mult) for c, v in items}
-    g = gcd(*ints.values())
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    d = lcm(*[v.denominator for v in row.values()])
+    return _strip({c: int(v * d) for c, v in row.items()})
 
 
 def _strip(row):

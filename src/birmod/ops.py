@@ -124,8 +124,8 @@ def nabla_op(ell, x, y, strict=True):
 
     The level is explicit and never inferred from the second factor.  With
     strict=True every entry of y must have order dividing ell (the second
-    factor lives at that level); the relaxed form is what the ring
-    homomorphism law needs on lifted factors.
+    factor lives at that level); strict=False drops that check.  No law
+    cell calls this: the ring homomorphism cells call ``_concat`` on codes.
     """
     if not isinstance(ell, int) or ell < 2:
         raise ValueError("product level must be an integer >= 2")

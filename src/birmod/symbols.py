@@ -18,7 +18,7 @@ work on codes; results are decoded only where they are handed out.
 
 import re
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from .linalg import SparseMat, rank_q, snf
@@ -123,14 +123,16 @@ class FormalSum:
 
     Coefficients are exact rationals internally; the ``rational`` flag
     records whether the sum lives over Q (required by the averaged lift
-    operator) or over Z (every coefficient integral).
+    operator) or over Z (every coefficient integral).  Built, as a dict
+    is, from a mapping or from (symbol, coefficient) pairs; keys naming the
+    same symbol (in any entry order) add up and zero terms are dropped.
     """
 
     __slots__ = ("terms", "arity", "rational")
 
     def __init__(self, terms=None, arity=0, rational=False):
         clean = {}
-        for s, c in (terms or {}).items():
+        for s, c in terms.items() if hasattr(terms, "items") else terms or ():
             c = Fraction(c)
             if not c:
                 continue
@@ -141,8 +143,8 @@ class FormalSum:
             arity = len(s)
             if not rational and c.denominator != 1:
                 raise ValueError("non-integral coefficient in integer mode")
-            clean[s] = c
-        self.terms = clean
+            clean[s] = clean.get(s, 0) + c
+        self.terms = {s: c for s, c in clean.items() if c}
         self.arity = arity
         self.rational = rational
 
@@ -152,8 +154,9 @@ class FormalSum:
         return cls({symbol: coeff}, len(symbol), rational)
 
     def items(self):
-        """Terms sorted by symbol, for deterministic output."""
-        return sorted(self.terms.items())
+        """Terms sorted by symbol, through the monotone code at one level."""
+        L = _level(self)
+        return sorted(self.terms.items(), key=lambda sc: _enc(sc[0], L))
 
     def is_zero(self):
         return not self.terms
@@ -169,20 +172,13 @@ class FormalSum:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def _merge(self, other, flip):
-        if self.terms and other.terms and self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) + (-c if flip else c)
-        return FormalSum(out, self.arity or other.arity,
+    def __add__(self, other):
+        return FormalSum(chain(self.terms.items(), other.terms.items()),
+                         self.arity or other.arity,
                          self.rational or other.rational)
 
-    def __add__(self, other):
-        return self._merge(other, False)
-
     def __sub__(self, other):
-        return self._merge(other, True)
+        return self + -other
 
     def __neg__(self):
         return FormalSum({s: -c for s, c in self.terms.items()},
@@ -214,18 +210,16 @@ class FormalSum:
 
 
 def sum_from_json(data, rational=None):
-    """Parse the wire format [{"c": int-or-"p/q", "s": [entries]}, ...]."""
-    terms = {}
-    saw_string = False
-    for item in data:
-        c = item["c"]
-        saw_string = saw_string or isinstance(c, str)
-        c = _wire_rational(c)
-        s = symbol_from_json(item["s"])
-        terms[s] = terms.get(s, 0) + c
+    """Parse the wire format [{"c": int-or-"p/q", "s": [entries]}, ...].
+
+    Terms naming the same symbol add up.  A string coefficient anywhere
+    makes the sum rational unless ``rational`` says otherwise.
+    """
+    terms = [(_wire_rational(item["c"]), symbol_from_json(item["s"]),
+              isinstance(item["c"], str)) for item in data]
     if rational is None:
-        rational = saw_string
-    return FormalSum(terms, rational=rational)
+        rational = any(saw_string for _, _, saw_string in terms)
+    return FormalSum(((s, c) for c, s, _ in terms), rational=rational)
 
 
 # level codec: dicts {coded entry tuple: coefficient}
@@ -249,7 +243,7 @@ def _raw_of(fs, L):
 
 def _wrap(sums, L, arity, rational):
     """Decode to a formal sum, dropping the all-zero tuple."""
-    return FormalSum({_dec(t, L): c for t, c in sums.items() if any(t)},
+    return FormalSum(((_dec(t, L), c) for t, c in sums.items() if any(t)),
                      arity, rational)
 
 
@@ -396,10 +390,6 @@ def minus_reduce(fs):
     Two-torsion classes collapse to zero; use only where rational
     coefficients are in play.
     """
-    out = {}
-    for s, c in fs.terms.items():
-        rep, sign = minus_canonicalize(s)
-        if sign == TWO_TORSION:
-            continue
-        out[rep] = out.get(rep, 0) + sign * c
-    return FormalSum(out, fs.arity, fs.rational)
+    signed = ((minus_canonicalize(s), c) for s, c in fs.terms.items())
+    return FormalSum(((rep, sign * c) for (rep, sign), c in signed
+                      if sign != TWO_TORSION), fs.arity, fs.rational)

@@ -31,6 +31,15 @@ def test_generator_composite_and_equality():
     assert BurnGen("E", 0, "X", 1).composite == "E"
 
 
+def test_elem_from_pairs_adds_equal_generators():
+    g, h = BurnGen("P", 1, "X", 2), BurnGen("P x A^1", 0, "X", 2)
+    assert g == h
+    elem = BurnElem([(g, 1), (h, 1)])
+    assert elem.terms == {g: 2}
+    assert BurnElem([(g, 1), (h, -1)]).is_zero()
+    assert BurnElem([(g, 1), (BurnGen("Q", 0, "X", 2), 0)]) == BurnElem.of(g)
+
+
 def test_model_guards():
     with pytest.raises(ValueError):
         Model(2, ["E", "E"], {})

@@ -85,6 +85,23 @@ def test_apply_sigma_annihilates(tmp_path, capsys):
     assert json.loads(out)["result"] == []
 
 
+@pytest.mark.parametrize("doc, result", [
+    # entry order and unreduced entries name one symbol; its terms add
+    ([{"c": 1, "s": ["1/2", "1/3"]}, {"c": 2, "s": ["1/3", "1/2"]},
+      {"c": 1, "s": ["3/2", "1/3"]}], [{"c": 4, "s": ["1/3", "1/2"]}]),
+    ([{"c": 1, "s": ["1/2", "1/3"]}, {"c": -1, "s": ["4/3", "1/2"]}], []),
+    # one string coefficient makes the whole sum rational
+    ([{"c": "1", "s": ["1/3"]}, {"c": 1, "s": ["1/3"]}],
+     [{"c": "2", "s": ["1/3"]}]),
+])
+def test_apply_wire_terms_add(tmp_path, capsys, doc, result):
+    inp = write(tmp_path, "x.json", doc)
+    code, out, _ = run(capsys, "apply", "--op", "sigma:1", "--input", inp,
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == result
+
+
 def test_apply_averaged_lift_is_rational(tmp_path, capsys):
     inp = write(tmp_path, "x.json", [{"c": 1, "s": ["1/3"]}])
     code, out, _ = run(capsys, "apply", "--op", "rhohat:2", "--input", inp,

@@ -37,6 +37,14 @@ def test_elem_algebra_and_json():
         GroupRingElem({QZ(1, 2): "one"})
 
 
+def test_elem_from_pairs_adds_like_terms():
+    assert GroupRingElem([(QZ(1, 2), 1), (QZ(1, 2), -1)]).is_zero()
+    assert GroupRingElem([(QZ(1, 3), 1), (QZ(1, 2), 0), (QZ(1, 3), 2)]) \
+        == 3 * E(1, 3)
+    with pytest.raises(ValueError):
+        GroupRingElem([(QZ(1, 2), 1), (QZ(1, 2), "one")])
+
+
 @hypothesis.given(qz_entries(), small_k)
 def test_scale_after_lift_is_multiplication_by_k(r, k):
     x = GroupRingElem.of(r)

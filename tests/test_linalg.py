@@ -43,6 +43,11 @@ def test_in_span_examples():
     assert in_span({0: 1, 1: 1, 2: 2}, m)
     assert in_span({}, m)
     assert not in_span({0: 1}, m)
+    # Fraction queries are scaled to primitive integer rows first
+    assert in_span({0: Fraction(1, 2), 1: Fraction(1, 3),
+                    2: Fraction(5, 6)}, m)
+    assert not in_span({0: Fraction(1, 2), 2: Fraction(1, 3)}, m)
+    assert in_span({0: Fraction(3, 4), 1: 0, 2: Fraction(3, 4)}, m)
 
 
 def test_snf_examples():

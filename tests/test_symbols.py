@@ -106,6 +106,33 @@ def test_formal_sum_modes():
     assert (ok - ok).is_zero()
 
 
+def test_formal_sum_adds_keys_naming_one_symbol():
+    # both keys canonicalize to <1/3, 1/2>; they add instead of overwriting
+    assert FormalSum({("1/2", "1/3"): 1, ("1/3", "1/2"): 1}) == \
+        2 * FormalSum.of(["1/2", "1/3"])
+    # 3/2 is 1/2 in Q/Z
+    assert FormalSum({(QZ(1, 2),): 1, (Fraction(3, 2),): -1}).is_zero()
+    pairs = [(S("1/2", "1/3"), 1), (("1/3", "1/2"), 2), (S("1/5"), 0)]
+    assert FormalSum(pairs) == FormalSum({S("1/2", "1/3"): 3})
+    assert FormalSum([(S("1/2"), 1), (("3/2",), -1)]).is_zero()
+    with pytest.raises(ValueError):
+        FormalSum([(S("1/2"), 1), (S("1/2", "1/3"), 1)])
+    # an arity is mixed in even when its terms cancel
+    with pytest.raises(ValueError):
+        FormalSum([(S("1/2"), 1), (S("1/2"), -1), (S("1/2", "1/3"), 1)])
+
+
+@hypothesis.given(strat.integers(min_value=1, max_value=4).flatmap(
+    lambda n: strat.dictionaries(
+        strat.lists(qz_entries(), min_size=n, max_size=n).map(canonicalize),
+        strat.integers(min_value=-3, max_value=3).filter(bool),
+        min_size=1, max_size=10)))
+def test_items_sorted_by_code_is_the_symbol_order(terms):
+    fs = FormalSum(terms)
+    assert [s for s, _ in fs.items()] == sorted(fs.terms)
+    assert dict(fs.items()) == fs.terms
+
+
 def test_blowup_examples():
     assert blowup_relation((Fraction(1, 2), Fraction(1, 2)), 2) == \
         FormalSum({S("1/2", "1/2"): 1, S("0", "1/2"): -2})
