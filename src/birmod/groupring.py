@@ -10,7 +10,8 @@ point of carrying this model alongside.
 
 from itertools import chain
 
-from .qz import QZ, preimages, qz
+from .qz import QZ, preimages
+from .symbols import _wire_rational
 
 
 class GroupRingElem:
@@ -28,7 +29,7 @@ class GroupRingElem:
         for r, c in pairs:
             if not isinstance(r, QZ):
                 raise ValueError("group element must be a QZ value")
-            if not isinstance(c, int):
+            if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError("coefficients must be integers")
             clean[r] = clean.get(r, 0) + c
         self.coeffs = {r: c for r, c in clean.items() if c}
@@ -81,7 +82,8 @@ class GroupRingElem:
 
     @classmethod
     def from_json(cls, data):
-        return cls((qz(item["e"]), int(item["c"])) for item in data)
+        """Terms {"e": int or "p/q", "c": int}; floats and bools are refused."""
+        return cls((QZ(_wire_rational(item["e"])), item["c"]) for item in data)
 
 
 def gr_sigma(k, x):

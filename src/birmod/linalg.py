@@ -21,17 +21,15 @@ near-diagonal relation matrices produced elsewhere in this package.
 Smith form (``snf``): over Z a pivot of +-1 is unimodular, so it is cleared
 with plain integer row updates and no content division, and contributes an
 invariant factor 1 (Dumas, Saunders and Villard, J. Symb. Comput. 2001).
-The rows left when no +-1 entry remains form the core, which gets a dense
-xgcd Smith reduction; ``SNF_MAX_CORE_COLS`` caps the core's column count.
+When no +-1 entry remains, the entry of least absolute value takes one
+Euclid step on the same index: its column is reduced modulo it, and once
+the column is clear so is its row, by column operations that touch no
+other row.  Nothing is ever copied into a dense matrix.
 """
 
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
-
-# Column budget of the dense Smith stage, checked on the core left after
-# the +-1 pivots are cleared.
-SNF_MAX_CORE_COLS = 5000
 
 
 def _primitive(row):
@@ -79,13 +77,38 @@ class _Index:
                 return i
         return None
 
+    def sub(self, i, b, prow, col):
+        """Row i -= b*prow; an emptied row is dropped, any other is pushed.
+
+        Only the pivot row's columns can change, so only their lists are
+        touched, all but ``col``'s, which the caller keeps.  Returns the row.
+        """
+        r, cols = self.rows[i], self.cols
+        for c, v in prow.items():
+            x = r.get(c)
+            if x is None:
+                r[c] = -b * v
+                cols[c].append(i)
+            else:
+                x -= b * v
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+                    if c != col:
+                        cols[c].remove(i)
+        if r:
+            heapq.heappush(self.heap, (len(r), i))
+        else:
+            del self.rows[i]
+        return r
+
     def eliminate(self, pid, col, unit):
         """Remove row ``pid`` and clear column ``col`` from every other row.
 
         With ``unit`` the pivot is +-1 and a row r with entry f becomes
         r - f*p*prow, a unimodular step; otherwise it becomes
-        (p*r - f*prow)/gcd(p, f) divided by its content.  Updated rows go
-        back on the heap.
+        (p*r - f*prow)/gcd(p, f) divided by its content.
         """
         rows, cols = self.rows, self.cols
         prow = rows.pop(pid)
@@ -99,35 +122,18 @@ class _Index:
             r = rows[i]
             f = r[col]
             if unit:
-                b = f * p
-            else:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                if a != 1:
-                    for c in r:
-                        r[c] *= a
-            for c, v in prow.items():
-                x = r.get(c)
-                if x is None:
-                    r[c] = -b * v
-                    cols[c].append(i)
-                else:
-                    x -= b * v
-                    if x:
-                        r[c] = x
-                    else:
-                        del r[c]
-                        if c != col:
-                            cols[c].remove(i)
-            if not r:
-                del rows[i]
+                self.sub(i, f * p, prow, col)
                 continue
-            if not unit:
+            g = gcd(p, f)
+            a = p // g
+            if a != 1:
+                for c in r:
+                    r[c] *= a
+            if self.sub(i, f // g, prow, col):
                 g = gcd(*r.values())
                 if g > 1:
                     for c in r:
                         r[c] //= g
-            heapq.heappush(self.heap, (len(r), i))
 
 
 class Echelon:
@@ -209,28 +215,17 @@ def in_span(row, mat):
     return mat.echelon().contains(row)
 
 
-def _xgcd(a, b):
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def snf(mat):
     """Invariant factors d1 | d2 | ... of an integer matrix.
 
-    +-1 pivots are cleared first, each giving a factor 1; the core left
-    over goes to the dense routine, and ``ValueError`` is raised when it
-    has more than ``SNF_MAX_CORE_COLS`` columns.  Fraction entries must be
-    integral: this is integral structure only.
+    +-1 pivots are cleared first, each giving a factor 1.  When none is
+    left, the entry p of least |p| (then the sparsest row, the rarest
+    column, the lowest ids) is a pivot: every other row r with entry f in
+    its column becomes r - (f // p)*prow.  If a remainder, smaller than
+    |p|, is left there, the +-1 pivots resume.  Otherwise column operations
+    reduce the pivot row's other entries mod p; if none is left the row
+    goes with the factor |p|, else it holds a smaller entry.  Fraction
+    entries must be integral: this is integral structure only.
     """
     rows = []
     for r in mat.rows:
@@ -244,89 +239,49 @@ def snf(mat):
                 ints[c] = v
         rows.append(ints)
     idx = _Index(rows)
+    rows, cols = idx.rows, idx.cols
     ones = 0
+    diag = []
     # a popped row without a +-1 entry stays in the index, and goes back on
     # the heap only if a later pivot changes it
-    while (pid := idx.pop()) is not None:
-        prow = idx.rows[pid]
-        units = [c for c, v in prow.items() if v == 1 or v == -1]
-        if units:
-            col = min(units, key=lambda c: (len(idx.cols[c]), c))
-            idx.eliminate(pid, col, True)
-            ones += 1
-    cols = sorted(c for c, ids in idx.cols.items() if ids)
-    if len(cols) > SNF_MAX_CORE_COLS:
-        raise ValueError(
-            "Smith form core is %d x %d; the dense stage takes at most %d "
-            "columns" % (len(idx.rows), len(cols), SNF_MAX_CORE_COLS))
-    where = {c: j for j, c in enumerate(cols)}
-    core = [{where[c]: v for c, v in r.items()} for r in idx.rows.values()]
-    return (1,) * ones + _dense_snf(core, len(cols))
-
-
-def _dense_snf(rows, n):
-    """Invariant factors of integer sparse rows over n columns, densely.
-
-    Smith reduction with xgcd row and column operations on a dense copy;
-    cubic, so ``snf`` hands it only the core left after the +-1 pivots.
-    """
-    m = len(rows)
-    a = [[0] * n for _ in range(m)]
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            a[i][c] = v
-    diag = []
-    top = 0
-    while True:
-        pos = None
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            # clear column top with row operations; plain shears when the
-            # pivot divides (an xgcd combine there can swap instead of
-            # shear and cycle forever), xgcd otherwise, which strictly
-            # shrinks the pivot and so happens only finitely often
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    rt, ri = a[top], a[i]
-                    if a[i][top] % a[top][top] == 0:
-                        f = a[i][top] // a[top][top]
-                        for j in range(top, n):
-                            ri[j] -= f * rt[j]
-                    else:
-                        g, x, y = _xgcd(a[top][top], a[i][top])
-                        p, q = a[top][top] // g, a[i][top] // g
-                        for j in range(top, n):
-                            rt[j], ri[j] = x * rt[j] + y * ri[j], p * ri[j] - q * rt[j]
-            # then column operations; only the xgcd branch can
-            # reintroduce entries below the pivot
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    if a[top][j] % a[top][top] == 0:
-                        f = a[top][j] // a[top][top]
-                        for i in range(top, m):
-                            a[i][j] -= f * a[i][top]
-                    else:
-                        g, x, y = _xgcd(a[top][top], a[top][j])
-                        p, q = a[top][top] // g, a[top][j] // g
-                        for i in range(top, m):
-                            a[i][top], a[i][j] = x * a[i][top] + y * a[i][j], p * a[i][j] - q * a[i][top]
-            if not any(a[i][top] for i in range(top + 1, m)):
-                break
-        diag.append(abs(a[top][top]))
-        top += 1
-        if top >= m or top >= n:
-            break
+    while rows:
+        pid = idx.pop()
+        if pid is not None:
+            prow = rows[pid]
+            units = [c for c, v in prow.items() if v == 1 or v == -1]
+            if units:
+                col = min(units, key=lambda c: (len(cols[c]), c))
+                idx.eliminate(pid, col, True)
+                ones += 1
+            continue
+        # no +-1 entry is left anywhere: a Euclid step on the least entry
+        m, n, _ = min((min(map(abs, r.values())), len(r), i)
+                      for i, r in rows.items())
+        _, pid, col = min((len(cols[c]), i, c)
+                          for i, r in rows.items() if len(r) == n
+                          for c, v in r.items() if v == m or v == -m)
+        prow = rows[pid]
+        p = prow[col]
+        left = [pid]
+        for i in cols.pop(col):
+            if i != pid and col in idx.sub(i, rows[i][col] // p, prow, col):
+                left.append(i)
+        cols[col] = left
+        if len(left) > 1:
+            continue
+        # the column is clear, so column operations reduce the rest of the
+        # row mod p and touch no other row
+        for c in [c for c in prow if c != col]:
+            prow[c] %= p
+            if not prow[c]:
+                del prow[c]
+                cols[c].remove(pid)
+        if len(prow) > 1:
+            heapq.heappush(idx.heap, (len(prow), pid))
+        else:
+            del rows[pid], cols[col]
+            diag.append(abs(p))
+    diag.sort()
     # enforce the divisibility chain d1 | d2 | ...
     changed = True
     while changed:
@@ -336,4 +291,4 @@ def _dense_snf(rows, n):
                 g = gcd(diag[i], diag[i + 1])
                 diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
                 changed = True
-    return tuple(diag)
+    return (1,) * ones + tuple(diag)

@@ -37,6 +37,20 @@ def test_elem_algebra_and_json():
         GroupRingElem({QZ(1, 2): "one"})
 
 
+@pytest.mark.parametrize("term", [{"e": 0.1, "c": 2}, {"e": "1/2", "c": 2.7},
+                                  {"e": "1/2", "c": True},
+                                  {"e": False, "c": 1}, {"e": "1/2", "c": "2"},
+                                  {"e": "1/0", "c": 1}, {"e": "1e9", "c": 1}])
+def test_elem_from_json_refuses_floats_bools_and_strings(term):
+    with pytest.raises(ValueError):
+        GroupRingElem.from_json([term])
+
+
+def test_elem_from_json_reads_ints_and_fractions():
+    assert GroupRingElem.from_json([{"e": 3, "c": 2}, {"e": "7/4", "c": -1}]) \
+        == 2 * E(0) - E(3, 4)
+
+
 def test_elem_from_pairs_adds_like_terms():
     assert GroupRingElem([(QZ(1, 2), 1), (QZ(1, 2), -1)]).is_zero()
     assert GroupRingElem([(QZ(1, 3), 1), (QZ(1, 2), 0), (QZ(1, 3), 2)]) \

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra: rank over Q, span membership, Smith form."""
 
 from fractions import Fraction
+from math import gcd
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from birmod import SparseMat, in_span, linalg, rank_q, snf
+from birmod import SparseMat, in_span, rank_q, snf
 
 small_entries = strat.integers(min_value=-4, max_value=4)
 
@@ -22,8 +23,106 @@ def matrices(max_rows=5, max_cols=5, entries=small_entries):
             min_size=1, max_size=max_rows))
 
 
-# no entry of +-1, so the Smith form goes straight to the dense core
+# no entry of +-1, so the Smith form starts with a Euclid step
 non_unit_entries = strat.sampled_from([-6, -4, -3, -2, 0, 0, 2, 3, 4, 6, 9])
+
+
+def scaled_sign_matrices():
+    """g times a 0/+-1 matrix, g in 2..6: the shape of the relation cores."""
+    return strat.integers(min_value=2, max_value=6).flatmap(
+        lambda g: matrices(7, 7, entries=strat.sampled_from([-g, 0, g])))
+
+
+# The dense Smith routine that ``snf`` used to hand its core to, kept as an
+# independent reference: xgcd row and column operations on a dense copy.
+def xgcd_reference(a, b):
+    """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def dense_smith_reference(rows, n):
+    """Invariant factors of integer sparse rows over n columns, densely.
+
+    Smith reduction with xgcd row and column operations on a dense copy;
+    cubic, so the tests hand it only small matrices.
+    """
+    m = len(rows)
+    a = [[0] * n for _ in range(m)]
+    for i, r in enumerate(rows):
+        for c, v in r.items():
+            a[i][c] = v
+    diag = []
+    top = 0
+    while True:
+        pos = None
+        best = None
+        for i in range(top, m):
+            for j in range(top, n):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best, pos = v, (i, j)
+        if pos is None:
+            break
+        i0, j0 = pos
+        a[top], a[i0] = a[i0], a[top]
+        for row in a:
+            row[top], row[j0] = row[j0], row[top]
+        while True:
+            # clear column top with row operations; plain shears when the
+            # pivot divides (an xgcd combine there can swap instead of
+            # shear and cycle forever), xgcd otherwise, which strictly
+            # shrinks the pivot and so happens only finitely often
+            for i in range(top + 1, m):
+                if a[i][top]:
+                    rt, ri = a[top], a[i]
+                    if a[i][top] % a[top][top] == 0:
+                        f = a[i][top] // a[top][top]
+                        for j in range(top, n):
+                            ri[j] -= f * rt[j]
+                    else:
+                        g, x, y = xgcd_reference(a[top][top], a[i][top])
+                        p, q = a[top][top] // g, a[i][top] // g
+                        for j in range(top, n):
+                            rt[j], ri[j] = x * rt[j] + y * ri[j], p * ri[j] - q * rt[j]
+            # then column operations; only the xgcd branch can
+            # reintroduce entries below the pivot
+            for j in range(top + 1, n):
+                if a[top][j]:
+                    if a[top][j] % a[top][top] == 0:
+                        f = a[top][j] // a[top][top]
+                        for i in range(top, m):
+                            a[i][j] -= f * a[i][top]
+                    else:
+                        g, x, y = xgcd_reference(a[top][top], a[top][j])
+                        p, q = a[top][top] // g, a[top][j] // g
+                        for i in range(top, m):
+                            a[i][top], a[i][j] = x * a[i][top] + y * a[i][j], p * a[i][j] - q * a[i][top]
+            if not any(a[i][top] for i in range(top + 1, m)):
+                break
+        diag.append(abs(a[top][top]))
+        top += 1
+        if top >= m or top >= n:
+            break
+    # enforce the divisibility chain d1 | d2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            if diag[i + 1] % diag[i]:
+                g = gcd(diag[i], diag[i + 1])
+                diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
+                changed = True
+    return tuple(diag)
 
 
 def test_rank_examples():
@@ -56,6 +155,8 @@ def test_snf_examples():
     assert snf(dense([[0, 0]])) == ()
     # elementary divisors chain: each divides the next
     assert snf(dense([[4, 0, 0], [0, 6, 0], [0, 0, 10]])) == (2, 2, 60)
+    # one gcd/lcm pass over the sorted diagonal gives (2, 3, 36), not a chain
+    assert snf(dense([[4, 0, 0], [0, 6, 0], [0, 0, 9]])) == (1, 6, 36)
 
 
 @hypothesis.given(matrices())
@@ -93,10 +194,11 @@ def test_snf_divisibility_chain(rows):
 
 
 @hypothesis.given(strat.one_of(matrices(7, 7),
-                               matrices(7, 7, entries=non_unit_entries)))
+                               matrices(7, 7, entries=non_unit_entries),
+                               scaled_sign_matrices()))
 def test_snf_matches_dense_smith_form(rows):
     m = dense(rows)
-    assert snf(m) == linalg._dense_snf(m.rows, m.ncols)
+    assert snf(m) == dense_smith_reference(m.rows, m.ncols)
 
 
 def test_snf_refuses_non_integral_fractions():
@@ -105,10 +207,7 @@ def test_snf_refuses_non_integral_fractions():
     assert snf(dense([[Fraction(4, 2), 0], [0, 3]])) == (1, 6)
 
 
-def test_snf_core_budget(monkeypatch):
-    # after the unit pivot the core is the 2x2 block diag(2, 4)
+def test_snf_core_budget():
+    # after the unit pivot the rows left are the 2x2 block diag(2, 4)
     m = dense([[1, 5, 7], [0, 2, 0], [0, 0, 4]])
     assert snf(m) == (1, 2, 4)
-    monkeypatch.setattr(linalg, "SNF_MAX_CORE_COLS", 1)
-    with pytest.raises(ValueError, match="core is 2 x 2"):
-        snf(m)

@@ -306,6 +306,16 @@ def test_minus_rank_is_the_genus_of_x1(p):
         == (p - 5) * (p - 7) // 24
 
 
+def test_minus_torsion_is_two_to_the_p_minus_2():
+    # observed, not proved: at every prime 5 <= p <= 61 the arity-2
+    # --minus module has torsion (Z/2)^(p-2); every core is 2 times a
+    # 0/+-1 matrix, so this loads the Euclid step of the Smith form
+    for p in [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]:
+        factors = relation_matrix(2, p, minus=True).invariant_factors()
+        assert sorted(set(factors)) == [1, 2]
+        assert factors.count(2) == p - 2
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_plain_rank_closed_form(p):
     assert relation_matrix(2, p).quotient_rank() == (p * p + 23) // 24
