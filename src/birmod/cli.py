@@ -69,6 +69,28 @@ _APPLY_OPS = {"sigma": sigma_op, "rho": rho_op, "ek": e_op,
 # this many they are refused before they start, not left to exhaust memory
 # (1.2 * 10^5 tuples of arity 6 took 12 s and 166 MB on a 2-core host)
 MAX_APPLY_TUPLES = 10 ** 5
+# a law cell's largest single expansion is k^(power * max_n) for the
+# largest k: lemma48 lifts a lifted symbol (rho_k rho_l x), ringhom lifts
+# the product of a lifted symbol and a symbol (rho_k (rho_l x . y)); coalg
+# lifts nothing
+_LAW_LIFT_POWERS = {"lemma48": 2, "ringhom": 3}
+
+
+def _check_expansion(what, terms, k, power):
+    """Refuse an expansion of terms * k^power tuples above the cap.
+
+    Multiplied out one factor at a time, so a huge k^power is never
+    formed: for k >= 2 the cap is passed within 17 factors.
+    """
+    if k < 2:
+        return
+    tuples = terms
+    for _ in range(power):
+        tuples *= k
+        if tuples > MAX_APPLY_TUPLES:
+            raise ValueError("%s would expand %d term(s) into %d^%d tuples "
+                             "each, above the cap of %d tuples"
+                             % (what, terms, k, power, MAX_APPLY_TUPLES))
 
 
 def _parse_op(spec):
@@ -84,17 +106,8 @@ def _parse_op(spec):
 def cmd_apply(args):
     name, k = _parse_op(args.op)
     x = sum_from_json(_read_json(args.input))
-    if name != "sigma" and k > 1:
-        # multiplied out one entry at a time, so a huge k^arity is never
-        # formed: the cap is passed within 17 factors
-        tuples = len(x.terms)
-        for _ in range(x.arity):
-            tuples *= k
-            if tuples > MAX_APPLY_TUPLES:
-                raise ValueError("%s would expand %d term(s) into %d^%d "
-                                 "tuples each, above the cap of %d tuples"
-                                 % (args.op, len(x.terms), k, x.arity,
-                                    MAX_APPLY_TUPLES))
+    if name != "sigma":
+        _check_expansion(args.op, len(x.terms), k, x.arity)
     result = _APPLY_OPS[name](k, x)
     to_file = args.out and args.out != "-"
     # the result is sorted once: into JSON, or into its text form
@@ -113,6 +126,9 @@ def cmd_apply(args):
 
 def cmd_laws(args):
     ks = tuple(int(p) for p in args.ks.split(",") if p.strip())
+    if args.suite in _LAW_LIFT_POWERS:
+        _check_expansion("laws --suite " + args.suite, 1, max(ks, default=1),
+                         _LAW_LIFT_POWERS[args.suite] * args.max_n)
     report = check_laws(args.suite, args.max_n, args.max_N, ks)
     if args.json:
         _emit_json(report.to_json())

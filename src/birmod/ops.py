@@ -25,21 +25,25 @@ level that holds both sides of every law it checks, compares plain dicts
 and decodes only the rows it reports.
 
 One helper, ``_count``, sums every expansion: it counts each coefficient
-group's sorted entry combinations in one ``Counter`` (so the work per
-combination runs in C) and merges the groups with their coefficients.
-Zeros are dropped only when some coefficient is not positive.
+group's entry combinations in one ``Counter`` (so the work per combination
+runs in C) and merges the groups with their coefficients.  Zeros are
+dropped only when some coefficient is not positive.  Combinations keep
+each entry at its position: the operators act entry by entry, so they
+commute with permuting positions, and ``symbols._sym`` sorts a result
+once, where it is decoded or printed.  Law cells compare ordered sides
+with ``_same``; the coproduct keys its output canonically.
 """
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product, starmap
+from itertools import chain, combinations, product, starmap
 from math import gcd, lcm
 from operator import add
 
 from .symbols import (FormalSum, enumerate_symbols, relation_matrix,
                       TWO_TORSION, _dec, _enc, _level, _minus_rep, _raw_of,
-                      _wrap)
+                      _sym, _wrap)
 
 MAX_STORED_FAILURES = 50
 
@@ -50,12 +54,13 @@ def _check_k(k):
 
 
 def _count(runs):
-    """Sum c * <sorted combo> over (c, iterator of entry combos) pairs."""
-    groups = defaultdict(Counter)
+    """Sum c * <combo> over (c, iterator of entry tuples) pairs."""
+    groups = defaultdict(list)
     for c, run in runs:
-        groups[c].update(map(tuple, map(sorted, run)))
+        groups[c].append(run)
     out = {}
-    for c, counts in groups.items():
+    for c, group in groups.items():
+        counts = Counter(chain.from_iterable(group))
         if not out and c == 1:
             out = dict(counts)
             continue
@@ -77,7 +82,8 @@ def _concat(a, b):
 
 
 def _raw_sigma(k, L, sums):
-    return _count((c, [[k * i % L for i in t]]) for t, c in sums.items())
+    return _count((c, [tuple([k * i % L for i in t])])
+                  for t, c in sums.items())
 
 
 def _raw_rho(k, L, sums):
@@ -267,10 +273,19 @@ def _proj(sums):
     return {t: c for t, c in sums.items() if any(t)}
 
 
+def _same(a, b):
+    """Do two ordered expansions have the same sorted sum?
+
+    Equal ordered sides have equal sorted sides, so only sides that differ
+    are sorted, and the verdict is exactly the one on sorted tuples.
+    """
+    return a == b or _sym(a) == _sym(b)
+
+
 def _json(sums, L):
     """``FormalSum.to_json`` of a coded sum with int coefficients."""
     return [{"c": c, "s": _dec(t, L).to_json()}
-            for t, c in sorted(sums.items())]
+            for t, c in sorted(_sym(sums).items())]
 
 
 def _lemma48_cell(laws, info, n, N, ks):
@@ -289,27 +304,28 @@ def _lemma48_cell(laws, info, n, N, ks):
                 lhs = _raw_sigma(k, L, sig[l])
                 rhs = _raw_sigma(k * l, L, x)
                 laws["scale_multiplicative"].record(
-                    lhs == rhs, {**tag, "k": k, "l": l})
+                    _same(lhs, rhs), {**tag, "k": k, "l": l})
                 lhs = _raw_rho(k, L, rho[l])
                 laws["lift_multiplicative"].record(
-                    lhs == rho[k * l], {**tag, "k": k, "l": l})
+                    _same(lhs, rho[k * l]), {**tag, "k": k, "l": l})
                 if gcd(k, l) == 1:
                     lhs = _raw_sigma(k, L, rho[l])
                     rhs = _raw_rho(l, L, sig[k])
                     laws["scale_lift_commute"].record(
-                        lhs == rhs, {**tag, "k": k, "l": l})
+                        _same(lhs, rhs), {**tag, "k": k, "l": l})
         for k in ks:
             lhs = _raw_rho(k, L, sig[k])
             rhs = _raw_e(k, L, x)
             laws["lift_scale_torsion_shift"].record(
-                lhs == rhs, {**tag, "k": k})
+                _same(lhs, rhs), {**tag, "k": k})
             lhs = _raw_sigma(k, L, rho[k])
             rhs = {t: k ** n}
-            laws["scale_lift_scalar"].record(lhs == rhs, {**tag, "k": k})
+            laws["scale_lift_scalar"].record(_same(lhs, rhs),
+                                             {**tag, "k": k})
             # expanded anew, so the check is not derived from rho[k]
             hat = _raw_rho(k, L, {t: Fraction(1, k ** n)})
             laws["averaged_lift_section"].record(
-                _raw_sigma(k, L, hat) == x, {**tag, "k": k})
+                _same(_raw_sigma(k, L, hat), x), {**tag, "k": k})
         # the projected composites genuinely deviate on annihilated symbols
         for k in ks:
             if not _proj(sig[k]):
@@ -321,7 +337,7 @@ def _lemma48_cell(laws, info, n, N, ks):
                              _raw_rho(k, L, _proj(sig[k])), _raw_e(k, L, x)))
                 for extra, lp, rp in rows:
                     lp, rp = _proj(lp), _proj(rp)
-                    if lp != rp:
+                    if not _same(lp, rp):
                         info.append({**tag, "k": k, **extra,
                                      "projected_lhs": _json(lp, L),
                                      "projected_rhs": _json(rp, L)})
@@ -356,7 +372,7 @@ def _ringhom_cell(law, n1, m1, n2, m2, ks):
                 for k in ks:
                     lhs = _raw_rho(k, L, prod_xy)
                     rhs = _concat(lifted[ell, k], ry[k])
-                    law.record(lhs == rhs,
+                    law.record(_same(lhs, rhs),
                                {"nx": n1, "mx": m1, "ny": n2, "my": m2,
                                 "k": k, "l": ell, "x": sx.to_json(),
                                 "y": sy.to_json()})
@@ -390,6 +406,8 @@ def check_laws(suite, max_n, max_N, ks):
     ks = tuple(sorted(set(ks)))
     if not ks or any(k < 2 for k in ks):
         raise ValueError("operator indices must be integers >= 2")
+    if max_n < 1 or max_N < 2:
+        raise ValueError("empty grid: need max_n >= 1 and max_N >= 2")
     grid = {"max_n": max_n, "max_N": max_N, "ks": list(ks)}
     cells = list(product(range(1, max_n + 1), range(2, max_N + 1)))
     info_rows = []
@@ -427,7 +445,8 @@ def descent_failures(n, N, minus, ks):
     (n, N): the image of every relation row decomposes by exact modulus
     and each component lies in the rational span of the relation rows of
     the target module.  Images are taken on codes at the level the public
-    operator would pick, and each component is recoded to its modulus.
+    operator would pick, sorted, and each component is recoded to its
+    modulus.
     """
     mats = {}
     src = mats[N] = relation_matrix(n, N, minus)
@@ -441,7 +460,7 @@ def descent_failures(n, N, minus, ks):
                 row = {tuple(L // N * x for x in src.codes[j]): c
                        for j, c in r.items()}
                 parts = {}
-                for t, c in op(k, L, row).items():
+                for t, c in _sym(op(k, L, row)).items():
                     g = gcd(L, *t)
                     if g < L:  # the all-zero tuple has no modulus
                         parts.setdefault(L // g, {})[

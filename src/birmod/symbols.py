@@ -13,10 +13,13 @@ entry denominator divides: the entry a/d becomes the int a*L/d in
 [0, L).  The code is monotone, so a sorted symbol codes to a sorted int
 tuple and decodes without re-sorting; the coded tuple t has modulus
 L // gcd(L, *t).  Enumeration, relation rows, the signed form and ``ops``
-work on codes; results are decoded only where they are handed out.
+work on codes.  The operators in ``ops`` keep each entry at its position,
+so their coded tuples come in any order; ``_sym`` sorts them and adds
+equal ones once, where a result is decoded and handed out.
 """
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import gcd, lcm
@@ -241,10 +244,22 @@ def _raw_of(fs, L):
     return {_enc(s, L): c for s, c in fs.terms.items()}
 
 
+def _sym(sums):
+    """Sort each coded tuple, add equal ones and drop zeros."""
+    out = defaultdict(int)
+    for t, c in sums.items():
+        out[tuple(sorted(t))] += c
+    return {t: c for t, c in out.items() if c}
+
+
 def _wrap(sums, L, arity, rational):
-    """Decode to a formal sum, dropping the all-zero tuple."""
-    return FormalSum(((_dec(t, L), c) for t, c in sums.items() if any(t)),
-                     arity, rational)
+    """Decode to a formal sum, dropping the all-zero tuple.
+
+    The coded tuples may come in any entry order: they are sorted once
+    here, before decoding, so each symbol is decoded once.
+    """
+    return FormalSum(((_dec(t, L), c) for t, c in _sym(sums).items()
+                      if any(t)), arity, rational)
 
 
 def _blowup_row(t, L, positions):

@@ -1,8 +1,20 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite.
 
+Under ``CI`` (set by GitHub Actions) hypothesis runs the ``ci`` profile:
+derandomized, so a red CI run replays exactly.  Local runs keep random
+exploration.
+"""
+
+import os
 from itertools import combinations
 
+import hypothesis
+
 from birmod import CatPresentation, Model, Morphism, Stratum
+
+hypothesis.settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    hypothesis.settings.load_profile("ci")
 
 
 def random_snc_model(rng, max_labels=4, max_dim=6):

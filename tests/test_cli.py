@@ -158,6 +158,33 @@ def test_laws_text_and_exit(capsys):
     assert "info projected_composite_deviations" in out
 
 
+@pytest.mark.parametrize("args, size", [
+    (("--suite", "lemma48", "--max-n", "1", "--max-N", "3",
+      "--ks", "1000000"), "1000000^2"),
+    (("--suite", "ringhom", "--max-n", "2", "--max-N", "3", "--ks", "2,7"),
+     "7^6"),
+    (("--suite", "lemma48", "--max-n", "10000000000", "--max-N", "3",
+      "--ks", "2"), "2^20000000000"),
+])
+def test_laws_refuses_huge_expansions(capsys, args, size):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "laws", *args)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "1 term(s) into %s tuples each" % size in err
+
+
+@pytest.mark.parametrize("suite, max_n, max_N", [
+    ("lemma48", "0", "6"), ("ringhom", "2", "1"), ("coalg", "-1", "-1"),
+])
+def test_laws_refuses_an_empty_grid(capsys, suite, max_n, max_N):
+    code, out, err = run(capsys, "laws", "--suite", suite, "--max-n", max_n,
+                         "--max-N", max_N, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "empty grid" in err
+
+
 def test_laws_json_deterministic(capsys):
     args = ("laws", "--suite", "coalg", "--max-n", "2", "--max-N", "5",
             "--ks", "2,3", "--json")
@@ -174,6 +201,9 @@ def test_laws_json_deterministic(capsys):
 @pytest.mark.parametrize("suite, max_n, max_N, digest", [
     ("lemma48", "2", "5",
      "f7e045ca5106c65b98664f2adef2c2a000e4a6189216953fd9dd04499cc33ce2"),
+    # arity 3 with 44 projected-composite rows
+    ("lemma48", "3", "6",
+     "0e12d8e51fc7bc3a71b74ed6c495d200aece107ea8f79e407da215e6c0c2e438"),
     ("ringhom", "1", "5",
      "62d14d6e8f2c5b3452dd6f92c34847211941f376c7fd94a013eb12f6113ce8a0"),
     ("coalg", "3", "6",
@@ -181,7 +211,8 @@ def test_laws_json_deterministic(capsys):
     # 120 non-coprime coproduct rows, none of which the 3/6 grid has
     ("coalg", "3", "12",
      "5d144f38da713ad12ca74f19d46ae6254459f4ef7eb8ce3b50a3609bc24c2f65"),
-], ids=["lemma48", "ringhom", "coalg", "coalg-non-coprime"])
+], ids=["lemma48", "lemma48-arity-3", "ringhom", "coalg",
+        "coalg-non-coprime"])
 def test_laws_json_is_frozen(capsys, suite, max_n, max_N, digest):
     code, out, _ = run(capsys, "laws", "--suite", suite, "--max-n", max_n,
                        "--max-N", max_N, "--ks", "2,3", "--json")

@@ -16,8 +16,8 @@ from birmod import (TWO_TORSION, DeltaSum, FormalSum, QZ, Symbol,
                     split_by_modulus, torsion)
 from birmod.linalg import Echelon
 from birmod.ops import (_concat, _delta_sum, _raw_delta, _raw_e, _raw_rho,
-                        _raw_sigma)
-from birmod.symbols import _level, _raw_of
+                        _raw_sigma, _same)
+from birmod.symbols import _level, _raw_of, _sym
 
 
 def S(*entries):
@@ -201,7 +201,9 @@ def test_nabla_matches_qz_reference(ell, data):
 
 
 # loop references for the codec expansions: every combination is visited
-# in Python and added into a plain dict, zero coefficients always dropped
+# in Python and added into a plain dict, zero coefficients always dropped.
+# The sorted ones give the symmetric sums, the ordered ones keep each entry
+# at its position, as the expansions themselves do.
 
 def _drop_zeros(out):
     return {t: c for t, c in out.items() if c}
@@ -243,13 +245,47 @@ def concat_reference(a, b):
     return _drop_zeros(out)
 
 
+def sigma_ordered_reference(k, L, sums):
+    out = {}
+    for t, c in sums.items():
+        key = tuple(k * i % L for i in t)
+        out[key] = out.get(key, 0) + c
+    return _drop_zeros(out)
+
+
+def rho_ordered_reference(k, L, sums):
+    out = {}
+    for t, c in sums.items():
+        for combo in product(*[range(i // k, L, L // k) for i in t]):
+            out[combo] = out.get(combo, 0) + c
+    return _drop_zeros(out)
+
+
+def e_ordered_reference(k, L, sums):
+    shifts = range(0, L, L // k)
+    out = {}
+    for t, c in sums.items():
+        for combo in product(shifts, repeat=len(t)):
+            key = tuple((i + s) % L for i, s in zip(t, combo))
+            out[key] = out.get(key, 0) + c
+    return _drop_zeros(out)
+
+
+def concat_ordered_reference(a, b):
+    out = {}
+    for u, ca in a.items():
+        for v, cb in b.items():
+            out[u + v] = out.get(u + v, 0) + ca * cb
+    return _drop_zeros(out)
+
+
 @strat.composite
 def coded_sums(draw, L, step):
     """Coded sums of one arity at level L, entries multiples of step.
 
     Coefficients are nonzero ints and Fractions of either sign, mixed in
     one sum.  A term may bring its reversed tuple at the negated
-    coefficient: both expand to the same sorted tuples, which cancel.
+    coefficient: both expand to the same tuples once sorted, which cancel.
     """
     n = draw(strat.integers(min_value=1, max_value=3))
     entry = strat.integers(min_value=0, max_value=L // step - 1).map(
@@ -268,10 +304,20 @@ def coded_sums(draw, L, step):
 
 
 def test_codec_expansions_cancel_to_a_plain_empty_dict():
+    # a tuple and its reverse cancel once the expansions are sorted
     pair = {(2, 4): 1, (4, 2): -1}
     for out in (_raw_sigma(2, 8, pair), _raw_rho(2, 8, pair),
                 _raw_e(2, 8, pair), _concat(pair, {(1,): Fraction(1, 2)})):
-        assert out == {} and type(out) is dict
+        assert type(out) is dict and all(out.values())
+        assert _sym(out) == {} and type(_sym(out)) is dict
+    # two tuples with one ordered image cancel before any sort
+    out = _raw_sigma(2, 8, {(1, 3): 1, (5, 7): -1})
+    assert out == {} and type(out) is dict
+
+
+def test_same_compares_sorted_sums():
+    assert _same({(1, 2): 1}, {(2, 1): 1})
+    assert not _same({(1, 2): 1}, {(1, 3): 1})
 
 
 @hypothesis.settings(max_examples=80, deadline=None)
@@ -282,14 +328,20 @@ def test_codec_expansions_match_loop_reference(k, N, data):
     lift_input = data.draw(coded_sums(L, k))
     x = data.draw(coded_sums(L, 1))
     y = data.draw(coded_sums(L, 1))
-    for got, want in ((_raw_sigma(k, L, x), sigma_reference(k, L, x)),
-                      (_raw_rho(k, L, lift_input),
-                       rho_reference(k, L, lift_input)),
-                      (_raw_e(k, L, x), e_reference(k, L, x)),
-                      (_concat(x, y), concat_reference(x, y))):
+    for got, ordered, want in (
+            (_raw_sigma(k, L, x), sigma_ordered_reference(k, L, x),
+             sigma_reference(k, L, x)),
+            (_raw_rho(k, L, lift_input),
+             rho_ordered_reference(k, L, lift_input),
+             rho_reference(k, L, lift_input)),
+            (_raw_e(k, L, x), e_ordered_reference(k, L, x),
+             e_reference(k, L, x)),
+            (_concat(x, y), concat_ordered_reference(x, y),
+             concat_reference(x, y))):
         assert type(got) is dict
-        assert got == want
+        assert got == ordered
         assert all(got.values())
+        assert _sym(got) == want
 
 
 # QZ references for the signed form and the coproduct: every negation
@@ -416,6 +468,9 @@ def test_check_laws_rejects_bad_input():
         check_laws("lemma48", 2, 4, (1, 2))
     with pytest.raises(ValueError):
         check_laws("nosuite", 2, 4, (2,))
+    for max_n, max_N in ((0, 4), (2, 1)):
+        with pytest.raises(ValueError, match="empty grid"):
+            check_laws("coalg", max_n, max_N, (2,))
 
 
 def test_report_json_shape():
