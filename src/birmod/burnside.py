@@ -39,29 +39,21 @@ def parse_composite(label):
 class BurnGen:
     """One generator: a source composite over a target label.
 
-    The source is a base label times an affine factor; two generators are
-    the same iff their composite labels, targets, and total source
-    dimensions agree.
+    The source is a base label times an affine factor, spelled once as
+    ``composite`` when the generator is made.  Two generators are the same
+    iff their composite labels, targets, and total source dimensions agree;
+    the composite is compared as spelled, so "E x A^1" with one more affine
+    factor is not "E" with two.
     """
-    source: str
-    affine: int
+    source: str = field(compare=False)
+    affine: int = field(compare=False)
     target: str
     dim: int
+    composite: str = field(init=False, repr=False)
 
-    @property
-    def composite(self):
-        if self.affine == 0:
-            return self.source
-        return "%s x A^%d" % (self.source, self.affine)
-
-    def __eq__(self, other):
-        if not isinstance(other, BurnGen):
-            return NotImplemented
-        return (self.composite, self.target, self.dim) == \
-            (other.composite, other.target, other.dim)
-
-    def __hash__(self):
-        return hash((self.composite, self.target, self.dim))
+    def __post_init__(self):
+        object.__setattr__(self, "composite", self.source if self.affine == 0
+                           else "%s x A^%d" % (self.source, self.affine))
 
     def to_json(self):
         return {"source": self.composite, "target": self.target,

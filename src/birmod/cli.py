@@ -46,7 +46,7 @@ def cmd_rank(args):
         "n": args.n,
         "N": args.N,
         "minus": args.minus,
-        "basis": len(rm.basis),
+        "basis": len(rm.codes),
         "relations": rm.mat.nrows,
         "rank": rm.quotient_rank(),
     }

@@ -22,7 +22,9 @@ multiples of L/k, and the coproduct scales its legs and takes the signed
 form of the right one on codes.  Each public operator codes at the least
 level its output needs and decodes once.  Each law cell codes at one
 level that holds both sides of every law it checks, compares plain dicts
-and decodes only the rows it reports.
+and decodes only the rows it reports.  Those rows, and the components a
+descent check reports, are written by ``FormalSum.to_json`` like every
+other sum.
 
 One helper, ``_count``, sums every expansion: it counts each coefficient
 group's entry combinations in one ``Counter`` (so the work per combination
@@ -282,12 +284,6 @@ def _same(a, b):
     return a == b or _sym(a) == _sym(b)
 
 
-def _json(sums, L):
-    """``FormalSum.to_json`` of a coded sum with int coefficients."""
-    return [{"c": c, "s": _dec(t, L).to_json()}
-            for t, c in sorted(_sym(sums).items())]
-
-
 def _lemma48_cell(laws, info, n, N, ks):
     # two stacked lifts by k and l reach denominators N*k*l, which divide L
     L = N * lcm(*ks) ** 2
@@ -338,9 +334,10 @@ def _lemma48_cell(laws, info, n, N, ks):
                 for extra, lp, rp in rows:
                     lp, rp = _proj(lp), _proj(rp)
                     if not _same(lp, rp):
-                        info.append({**tag, "k": k, **extra,
-                                     "projected_lhs": _json(lp, L),
-                                     "projected_rhs": _json(rp, L)})
+                        info.append({
+                            **tag, "k": k, **extra,
+                            "projected_lhs": _wrap(lp, L, n, False).to_json(),
+                            "projected_rhs": _wrap(rp, L, n, False).to_json()})
 
 
 _LEMMA48_LAWS = (
@@ -471,6 +468,6 @@ def descent_failures(n, N, minus, ks):
                     vec = {mats[M].index[t]: c for t, c in comp.items()}
                     if not mats[M].mat.echelon().contains(vec):
                         fails.append({"row": i, "k": k, "op": name,
-                                      "target_modulus": M,
-                                      "component": _json(comp, M)})
+                                      "target_modulus": M, "component":
+                                      _wrap(comp, M, n, False).to_json()})
     return fails

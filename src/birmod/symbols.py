@@ -13,9 +13,11 @@ entry denominator divides: the entry a/d becomes the int a*L/d in
 [0, L).  The code is monotone, so a sorted symbol codes to a sorted int
 tuple and decodes without re-sorting; the coded tuple t has modulus
 L // gcd(L, *t).  Enumeration, relation rows, the signed form and ``ops``
-work on codes.  The operators in ``ops`` keep each entry at its position,
-so their coded tuples come in any order; ``_sym`` sorts them and adds
-equal ones once, where a result is decoded and handed out.
+work on codes.  A relation matrix holds only the coded basis and its
+sparse rows; ``basis`` and ``rows`` decode on request.  The operators in
+``ops`` keep each entry at its position, so their coded tuples come in any
+order; ``_sym`` sorts them and adds equal ones once, where a result is
+decoded and handed out.
 """
 
 import re
@@ -329,22 +331,27 @@ def relation_rows(n, N, minus=False):
 
 
 class RelationMatrix:
-    """Symbol basis plus relation rows, with rank and span queries."""
+    """Coded symbol basis plus relation rows, with rank and span queries."""
 
     def __init__(self, n, N, minus=False):
         self.n, self.N, self.minus = n, N, minus
         # the basis coded at level N, and the column of each code
         self.codes, rows = _relations(n, N, minus)
         self.index = {t: i for i, t in enumerate(self.codes)}
-        self.basis = [_dec(t, N) for t in self.codes]
         self.mat = SparseMat(
             [{self.index[t]: c for t, c in r.items()} for r in rows],
             len(self.codes))
 
     @property
+    def basis(self):
+        """The basis symbols, in column order."""
+        return [_dec(t, self.N) for t in self.codes]
+
+    @property
     def rows(self):
         """The relation rows as formal sums, in matrix row order."""
-        return [FormalSum({self.basis[i]: c for i, c in r.items()}, self.n)
+        basis = self.basis
+        return [FormalSum({basis[i]: c for i, c in r.items()}, self.n)
                 for r in self.mat.rows]
 
     def vectorize(self, fs):
@@ -363,7 +370,7 @@ class RelationMatrix:
 
     def quotient_rank(self):
         """Dimension over Q of the presented module."""
-        return len(self.basis) - rank_q(self.mat)
+        return len(self.codes) - rank_q(self.mat)
 
     def invariant_factors(self):
         return snf(self.mat)

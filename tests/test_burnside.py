@@ -29,6 +29,11 @@ def test_generator_composite_and_equality():
     assert g == BurnGen("C", 2, "X", 1)
     assert g != BurnGen("C", 1, "X", 1)
     assert BurnGen("E", 0, "X", 1).composite == "E"
+    # the composite is compared as spelled, never normalized
+    assert BurnGen("E x A^1", 1, "X", 2) != BurnGen("E", 2, "X", 2)
+    assert hash(BurnGen("P", 1, "X", 2)) == hash(BurnGen("P x A^1", 0, "X", 2))
+    assert repr(BurnGen("E", 1, "X", 2)) == \
+        "BurnGen(source='E', affine=1, target='X', dim=2)"
 
 
 def test_elem_from_pairs_adds_equal_generators():

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+import birmod.symbols
 from birmod.cli import main
+from birmod.ops import descent_failures
 from birmod.symbols import FormalSum
 
 
@@ -43,6 +45,37 @@ def test_rank_integral_minus(capsys):
                        "--ring", "z")
     assert code == 0
     assert out == "basis 1\nrank 0\ninvariant factors (2)\n"
+
+
+# SHA-256 of whole `rank --json` documents, the frozen presentation corpus:
+# basis and relation counts, the rank over Q and the invariant factors
+@pytest.mark.parametrize("args, digest", [
+    ("--n 2 --N 97 --minus",
+     "697c8fb60983df5bff46c53a3a1f7a49425488a7ab26b1894efb29607a7d5fd6"),
+    ("--n 2 --N 36 --minus --ring z",
+     "c7c1ae25c8003b967edae0bc049e38c6ec6178ab672819e4f785e78f1941dc85"),
+    ("--n 3 --N 12 --ring z",
+     "370b536b05acf76fbc51f7565c094b3c327bdcdcfd90d1b789232db33b5ce916"),
+    ("--n 3 --N 16 --minus --ring z",
+     "921e8ed63b64ee0c862594c94a7f8af76b532ec15fb480d7374d9b6a5ed583a6"),
+], ids=["2-97-minus", "2-36-minus-z", "3-12-z", "3-16-minus-z"])
+def test_rank_json_is_frozen(capsys, args, digest):
+    code, out, _ = run(capsys, "rank", *args.split(), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rank_and_descent_decode_nothing(capsys, monkeypatch):
+    # both work on codes end to end: a symbol is decoded only when a
+    # result is handed out, and neither hands one out here
+    def refuse(t, L):
+        raise AssertionError("decoded %r at level %d" % (t, L))
+
+    monkeypatch.setattr(birmod.symbols, "_dec", refuse)
+    code, _, _ = run(capsys, "rank", "--n", "2", "--N", "36", "--minus",
+                     "--ring", "z", "--json")
+    assert code == 0
+    assert descent_failures(2, 6, True, (2, 3)) == []
 
 
 def test_rank_rejects_bad_arity(capsys):
