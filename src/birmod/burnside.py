@@ -18,7 +18,8 @@ equality of the declared classes.
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+
+from .lincomb import LinComb
 
 
 _AFFINE_SUFFIX = re.compile(r"^(.*) x A\^(\d+)$")
@@ -60,52 +61,15 @@ class BurnGen:
                 "dim": self.dim}
 
 
-class BurnElem:
-    """Integer combination of generators.
+class BurnElem(LinComb):
+    """Integer combination of generators."""
 
-    Built, as a dict is, from a mapping or from (generator, coefficient)
-    pairs; coefficients of equal generators add and zeros are dropped.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for g, c in terms.items() if hasattr(terms, "items") else terms or ():
-            clean[g] = clean.get(g, 0) + c
-        self.terms = {g: c for g, c in clean.items() if c}
-
-    @classmethod
-    def of(cls, gen, c=1):
-        return cls({gen: c})
+    __slots__ = ()
 
     def items(self):
         return sorted(self.terms.items(),
                       key=lambda gc: (gc[0].dim, gc[0].composite,
                                       gc[0].target))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, BurnElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        return BurnElem(chain(self.terms.items(), other.terms.items()))
-
-    def __neg__(self):
-        return BurnElem({g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return BurnElem({g: c * v for g, v in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -164,10 +128,19 @@ def dim_from_json(value):
 
 
 def model_from_json(data):
+    """Read a model: an object, ``labels`` an array, ``strata`` an object
+    of objects (a string is never read as a list of letters).
+    """
+    if not isinstance(data, dict) or not isinstance(data["labels"], list):
+        raise ValueError("a model is an object with a labels array")
+    raw = data.get("strata", {})
+    if not (isinstance(raw, dict)
+            and all(isinstance(st, dict) for st in raw.values())):
+        raise ValueError("model strata must be an object of objects")
     labels = list(data["labels"])
     dim = dim_from_json(data["dim"])
     strata = {}
-    for key, st in data.get("strata", {}).items():
+    for key, st in raw.items():
         idx = frozenset(int(p) for p in str(key).split(","))
         d = dim_from_json(st["dim"]) if "dim" in st else dim - len(idx)
         strata[idx] = Stratum(str(st["name"]), d)

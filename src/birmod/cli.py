@@ -182,8 +182,11 @@ def cmd_burnside(args):
     if args.mode == "tower":
         big = model_from_json(_read_json(args.big))
         small = model_from_json(_read_json(args.small))
+        edge_doc = _read_json(args.edges)
+        if not isinstance(edge_doc, dict):
+            raise ValueError("an edge map must be a JSON object")
         edges = {}
-        for label, val in _read_json(args.edges).items():
+        for label, val in edge_doc.items():
             edges[label] = None if val is None else _gen_from_json(val)
         res = tower_boundary_check(big, small, edges, _load_rules(args.rules))
         if args.json:

@@ -83,12 +83,22 @@ def _json_int(value, what):
     return value
 
 
+def _json_list(value, what):
+    """An array read from JSON; a string is not a list of letters."""
+    if not isinstance(value, list):
+        raise ValueError("%s must be an array, not %r" % (what, value))
+    return value
+
+
 def _int_range(data, key):
     return sorted(_json_int(v, key + " entry") for v in data.get(key, [0]))
 
 
 def _collect_pairs(data):
-    known = set(data["varieties"]) if "varieties" in data else None
+    if not isinstance(data, dict):
+        raise ValueError("a pairs document must be a JSON object")
+    known = (set(_json_list(data["varieties"], "varieties"))
+             if "varieties" in data else None)
 
     def check(label):
         if known is not None and label not in known:
@@ -97,7 +107,7 @@ def _collect_pairs(data):
     pairs = []
 
     def add(p):
-        p = tuple(p)
+        p = tuple(_json_list(p, "a pair"))
         if len(p) != 2:
             raise ValueError("a pair has exactly two labels")
         for lab in p:
@@ -108,7 +118,7 @@ def _collect_pairs(data):
     for p in data.get("pairs", []):
         add(p)
     for lad in data.get("ladders", []):
-        if len(lad) != 3:
+        if len(_json_list(lad, "a ladder")) != 3:
             raise ValueError("a ladder has exactly three labels")
         add(lad[:2])
         add(lad[1:])
@@ -282,7 +292,7 @@ class CatPresentation:
     def from_json(cls, data):
         morphisms = [Morphism(m["name"], m["src"], m["dst"], _iso_flag(m))
                      for m in data["morphisms"]]
-        return cls(data["objects"], morphisms,
+        return cls(_json_list(data["objects"], "objects"), morphisms,
                    [tuple(t) for t in data.get("compose", [])],
                    data.get("identities", {}))
 

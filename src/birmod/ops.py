@@ -445,12 +445,13 @@ def descent_failures(n, N, minus, ks):
     operator would pick, sorted, and each component is recoded to its
     modulus.
     """
+    for k in ks:
+        _check_k(k)
     mats = {}
     src = mats[N] = relation_matrix(n, N, minus)
     fails = []
     for i, r in enumerate(src.mat.rows):
         for k in ks:
-            _check_k(k)
             for name, L, op in (("scale", N, _raw_sigma),
                                 ("lift", N * k, _raw_rho),
                                 ("torsion_shift", lcm(k, N), _raw_e)):

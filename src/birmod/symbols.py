@@ -27,6 +27,7 @@ from itertools import chain, combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from .linalg import SparseMat, rank_q, snf
+from .lincomb import LinComb
 from .qz import QZ
 
 TWO_TORSION = 0  # sign value returned for classes with 2*S = 0 in the signed quotient
@@ -123,35 +124,38 @@ def enumerate_symbols(n, N):
     return [_dec(t, N) for t in _coded_symbols(n, N)]
 
 
-class FormalSum:
+class FormalSum(LinComb):
     """A finite linear combination of symbols of one arity.
 
     Coefficients are exact rationals internally; the ``rational`` flag
     records whether the sum lives over Q (required by the averaged lift
-    operator) or over Z (every coefficient integral).  Built, as a dict
-    is, from a mapping or from (symbol, coefficient) pairs; keys naming the
-    same symbol (in any entry order) add up and zero terms are dropped.
+    operator) or over Z (every coefficient integral).  Keys naming the
+    same symbol (in any entry order) add up.
     """
 
-    __slots__ = ("terms", "arity", "rational")
+    __slots__ = ("arity", "rational")
 
     def __init__(self, terms=None, arity=0, rational=False):
-        clean = {}
-        for s, c in terms.items() if hasattr(terms, "items") else terms or ():
+        self.arity = arity  # both read by _pairs, which also sets arity
+        self.rational = rational
+        super().__init__(terms)
+
+    def _pairs(self, pairs):
+        for s, c in pairs:
             c = Fraction(c)
             if not c:
                 continue
             if not isinstance(s, Symbol):
                 s = canonicalize(s)
-            if arity and len(s) != arity:
+            if self.arity and len(s) != self.arity:
                 raise ValueError("mixed arities in formal sum")
-            arity = len(s)
-            if not rational and c.denominator != 1:
+            self.arity = len(s)
+            if not self.rational and c.denominator != 1:
                 raise ValueError("non-integral coefficient in integer mode")
-            clean[s] = clean.get(s, 0) + c
-        self.terms = {s: c for s, c in clean.items() if c}
-        self.arity = arity
-        self.rational = rational
+            yield s, c
+
+    def _like(self, pairs):
+        return FormalSum(pairs, self.arity, self.rational)
 
     @classmethod
     def of(cls, symbol, coeff=1, rational=False):
@@ -163,40 +167,18 @@ class FormalSum:
         L = _level(self)
         return sorted(self.terms.items(), key=lambda sc: _enc(sc[0], L))
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
+    def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
         return FormalSum(chain(self.terms.items(), other.terms.items()),
                          self.arity or other.arity,
                          self.rational or other.rational)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return FormalSum({s: -c for s, c in self.terms.items()},
-                         self.arity, self.rational)
 
     def scale(self, c):
         c = Fraction(c)
         rational = self.rational or c.denominator != 1
         return FormalSum({s: v * c for s, v in self.terms.items()},
                          self.arity, rational)
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     def to_rational(self):
         return FormalSum(self.terms, self.arity, True)

@@ -281,6 +281,28 @@ def test_burnside_rejects_non_integer_dims(tmp_path, capsys, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+_MODEL = {"dim": 2, "labels": ["D", "E"], "strata": {}}
+_SMALL = {"dim": 1, "labels": ["p"], "strata": {}}
+
+
+@pytest.mark.parametrize("mode, docs", [
+    ("boundary", {"model": {"dim": 2, "labels": ["D"], "strata": []}}),
+    ("boundary", {"model": {**_MODEL, "labels": "DE"}}),
+    ("tower", {"big": _MODEL, "small": _SMALL, "edges": []}),
+    ("tower", {"big": _MODEL, "small": {**_SMALL, "labels": "p"},
+               "edges": {}}),
+])
+def test_burnside_rejects_malformed_shapes(tmp_path, capsys, mode, docs):
+    # a string once read as a list of one-letter labels, and an array of
+    # strata or of edges crashed with a traceback
+    argv = []
+    for flag, doc in docs.items():
+        argv += ["--" + flag, write(tmp_path, flag + ".json", doc)]
+    code, out, err = run(capsys, "burnside", mode, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_burnside_pushforward_with_rules(tmp_path, capsys):
     model = write(tmp_path, "xp.json", {
         "dim": 2, "labels": ["Zt", "E"],
@@ -408,6 +430,32 @@ def test_diagram_category_rejects_non_boolean_iso(tmp_path, capsys, iso):
 ])
 def test_diagram_rejects_non_integer_ranges(tmp_path, capsys, kind, extra):
     inp = write(tmp_path, "d.json", {"ladders": [["X", "Y", "Z"]], **extra})
+    code, out, err = run(capsys, "diagram", kind, "--input", inp, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+_CAT = {"objects": ["a", "b"],
+        "morphisms": [{"name": "ia", "src": "a", "dst": "a", "iso": True},
+                      {"name": "ib", "src": "b", "dst": "b", "iso": True}],
+        "identities": {"a": "ia", "b": "ib"}}
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("pairs", []),
+    ("pairs", {"pairs": ["ab"]}),
+    ("pairs", {"pairs": [["a", "b"]], "varieties": "ab"}),
+    ("pairs", {"ladders": ["abc"]}),
+    ("pairs", {"morphisms": [{"from": "ab", "to": ["c", "d"]}]}),
+    ("pairs", {"morphisms": [{"from": ["a", "b"], "to": "cd"}]}),
+    ("equivariant", []),
+    ("equivariant", {"twists": ["ab"]}),
+    ("category", {**_CAT, "objects": "ab"}),
+])
+def test_diagram_rejects_malformed_shapes(tmp_path, capsys, kind, doc):
+    # a string once read as a list of one-letter labels or objects, and a
+    # document that is not an object crashed with a traceback
+    inp = write(tmp_path, "d.json", doc)
     code, out, err = run(capsys, "diagram", kind, "--input", inp, "--json")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err

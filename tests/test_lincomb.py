@@ -1,0 +1,60 @@
+"""The shared algebra of formal sums, the group ring and boundary classes."""
+
+from fractions import Fraction
+
+import hypothesis
+import hypothesis.strategies as strat
+import pytest
+
+from birmod import (BurnElem, BurnGen, FormalSum, GroupRingElem, QZ,
+                    canonicalize)
+
+
+def qz_values(max_den=8):
+    return strat.integers(min_value=2, max_value=max_den).flatmap(
+        lambda q: strat.integers(min_value=1, max_value=q - 1).map(
+            lambda p: QZ(p, q)))
+
+
+ints = strat.integers(min_value=-3, max_value=3)
+fractions = strat.builds(Fraction, ints, strat.integers(min_value=1,
+                                                        max_value=4))
+symbols = strat.lists(qz_values(), min_size=2, max_size=2).map(
+    canonicalize)
+gens = strat.builds(BurnGen, strat.sampled_from(["D", "E", "pt"]),
+                    strat.integers(min_value=0, max_value=2),
+                    strat.sampled_from(["X", "Y"]),
+                    strat.integers(min_value=0, max_value=3))
+
+# (name, key strategy, coefficient strategy, builder from pairs)
+KINDS = [
+    ("formal-int", symbols, ints, FormalSum),
+    ("formal-rational", symbols, fractions,
+     lambda pairs: FormalSum(pairs, rational=True)),
+    ("group-ring", qz_values(), ints, GroupRingElem),
+    ("burnside", gens, ints, BurnElem),
+]
+ZEROS = [FormalSum(), GroupRingElem(), BurnElem()]
+
+
+@pytest.mark.parametrize("keys, coeffs, build", [k[1:] for k in KINDS],
+                         ids=[k[0] for k in KINDS])
+@hypothesis.given(data=strat.data())
+def test_shared_algebra(keys, coeffs, build, data):
+    pairs = strat.lists(strat.tuples(keys, coeffs), max_size=6)
+    p, q = data.draw(pairs), data.draw(pairs)
+    x, y = build(p), build(q)
+    assert (x + y) - y == x
+    assert (x + -x).is_zero() and not (x + -x)
+    assert x.scale(2) == x + x == 2 * x
+    assert build(p + q) == x + y == y + x
+    assert hash(build(q + p)) == hash(x + y)
+    assert hash(build(p[::-1])) == hash(x)
+    for zero in ZEROS:
+        if type(zero) is not type(x):
+            assert x - x != zero and zero != x - x
+            assert x != zero and zero != x
+            with pytest.raises(TypeError):
+                x + zero
+            with pytest.raises(TypeError):
+                zero - x

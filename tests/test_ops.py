@@ -9,6 +9,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+import birmod.ops
 from birmod import (TWO_TORSION, DeltaSum, FormalSum, QZ, Symbol,
                     canonicalize, check_laws, delta_op, descent_failures,
                     e_op, enumerate_symbols, minus_canonicalize, nabla_op,
@@ -487,6 +488,20 @@ def test_descent_small_cases():
     assert descent_failures(2, 4, True, (2, 3)) == []
     with pytest.raises(ValueError):
         descent_failures(2, 4, False, (0,))
+
+
+@pytest.mark.parametrize("minus", [False, True])
+@pytest.mark.parametrize("ks", [[0], [2, 0], [2, -1], [2.0], ["2"]])
+def test_descent_checks_every_k_before_building(monkeypatch, minus, ks):
+    # every k is refused before any relation matrix is built: (1, 5)
+    # without the signed quotient has no relation rows, so a k checked
+    # per row is never looked at
+    built = []
+    monkeypatch.setattr(birmod.ops, "relation_matrix",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError):
+        descent_failures(1, 5, minus, ks)
+    assert built == []
 
 
 @pytest.mark.parametrize("n, N, minus", [(2, 4, False), (2, 6, True),
