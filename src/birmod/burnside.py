@@ -188,6 +188,10 @@ class RewriteRules:
 
     @classmethod
     def from_json(cls, data):
+        """Rules from a JSON array of {"from": label, "to": label} objects."""
+        if not (isinstance(data, list)
+                and all(isinstance(item, dict) for item in data)):
+            raise ValueError("rewrite rules must be an array of objects")
         return cls([(item["from"], item["to"]) for item in data])
 
     def apply(self, label):

@@ -290,11 +290,26 @@ class CatPresentation:
 
     @classmethod
     def from_json(cls, data):
+        """Read a presentation: ``morphisms`` an array of objects,
+        ``compose`` an array of arrays, ``identities`` an object (never an
+        array of pairs) and ``objects`` an array.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a category is a JSON object")
+        raw = _json_list(data["morphisms"], "morphisms")
+        if not all(isinstance(m, dict) for m in raw):
+            raise ValueError("morphisms must be an array of objects")
+        compose = _json_list(data.get("compose", []), "compose")
+        if not all(isinstance(t, list) for t in compose):
+            raise ValueError("compose must be an array of arrays")
+        identities = data.get("identities", {})
+        if not isinstance(identities, dict):
+            raise ValueError("identities must be an object, not %r"
+                             % (identities,))
         morphisms = [Morphism(m["name"], m["src"], m["dst"], _iso_flag(m))
-                     for m in data["morphisms"]]
+                     for m in raw]
         return cls(_json_list(data["objects"], "objects"), morphisms,
-                   [tuple(t) for t in data.get("compose", [])],
-                   data.get("identities", {}))
+                   [tuple(t) for t in compose], identities)
 
     def hom(self, src_obj, dst_obj):
         return list(self.homs.get((src_obj, dst_obj), ()))

@@ -3,11 +3,11 @@
 A matrix is a list of sparse rows (dict column -> nonzero scalar); scalars
 are ints or Fractions.  Both eliminations below run on one private index:
 the rows keyed by their original position, a column -> row ids index whose
-list lengths are the live column counts, and a heap of (nnz, row id) that
-yields the sparsest row, lowest id first on ties, and drops entries made
-stale by updates.  A pivot touches only the rows listed under its column,
-and only the pivot row's columns can enter or leave a row, so only their
-lists change; no step rescans the whole matrix.
+sizes are the live column counts, and a heap of (nnz, row id) that yields
+the sparsest row, lowest id first on ties, and drops entries made stale by
+updates.  A pivot touches only the rows listed under its column, and only
+the pivot row's columns can enter or leave a row, so only their entries in
+the index change; no step rescans the whole matrix.
 
 Rank and span (``Echelon``): every row is scaled to a primitive integer
 row, which is harmless for ranks and row spans.  Elimination is fraction
@@ -16,7 +16,10 @@ divided by its content, so no Fraction arithmetic happens in the inner loop
 and coefficients stay small.  Pivots are chosen Markowitz style (Markowitz
 1957): the sparsest row, then the column of that row that is rarest among
 the live rows, then the smallest entry, which keeps fill-in low on the
-near-diagonal relation matrices produced elsewhere in this package.
+near-diagonal relation matrices produced elsewhere in this package.  A
+span query visits only the pivots whose columns it meets: their positions
+go on a heap and are popped in elimination order, and a reduction that
+brings in a later pivot column pushes that pivot's position.
 
 Smith form (``snf``): over Z a pivot of +-1 is unimodular, so it is cleared
 with plain integer row updates and no content division, and contributes an
@@ -34,6 +37,8 @@ from math import gcd, lcm
 
 def _primitive(row):
     """Scale a sparse row to integers and divide out the content."""
+    if all(type(v) is int for v in row.values()):
+        return _strip(row)
     d = lcm(*[v.denominator for v in row.values()])
     return _strip({c: int(v * d) for c, v in row.items()})
 
@@ -52,8 +57,9 @@ def _strip(row):
 class _Index:
     """Integer rows keyed by id, the ids under each column, a sparsest-row heap.
 
-    ``cols[c]`` lists exactly the ids of the live rows with a nonzero in
-    column c (lists rather than sets: they are much smaller).  The heap
+    ``cols[c]`` holds exactly the ids of the live rows with a nonzero in
+    column c, as the keys of an insertion-ordered dict: ids leave and join
+    in O(1), and iteration runs in the order the ids joined.  The heap
     holds (nnz, id) pairs; one whose row has gone or changed length since
     it was pushed is stale and skipped when popped.
     """
@@ -63,7 +69,7 @@ class _Index:
         self.cols = {}
         for i, r in self.rows.items():
             for c in r:
-                self.cols.setdefault(c, []).append(i)
+                self.cols.setdefault(c, {})[i] = None
         self.heap = [(len(r), i) for i, r in self.rows.items()]
         heapq.heapify(self.heap)
 
@@ -80,7 +86,7 @@ class _Index:
     def sub(self, i, b, prow, col):
         """Row i -= b*prow; an emptied row is dropped, any other is pushed.
 
-        Only the pivot row's columns can change, so only their lists are
+        Only the pivot row's columns can change, so only their id sets are
         touched, all but ``col``'s, which the caller keeps.  Returns the row.
         """
         r, cols = self.rows[i], self.cols
@@ -88,7 +94,7 @@ class _Index:
             x = r.get(c)
             if x is None:
                 r[c] = -b * v
-                cols[c].append(i)
+                cols[c][i] = None
             else:
                 x -= b * v
                 if x:
@@ -96,7 +102,7 @@ class _Index:
                 else:
                     del r[c]
                     if c != col:
-                        cols[c].remove(i)
+                        del cols[c][i]
         if r:
             heapq.heappush(self.heap, (len(r), i))
         else:
@@ -115,7 +121,7 @@ class _Index:
         p = prow[col]
         for c in prow:
             if c != col:
-                cols[c].remove(pid)
+                del cols[c][pid]
         for i in cols.pop(col):
             if i == pid:
                 continue
@@ -151,24 +157,53 @@ class Echelon:
             col = min(prow, key=lambda c: (len(idx.cols[c]), abs(prow[c]), c))
             idx.eliminate(pid, col, False)
             self.pivots.append((col, prow[col], prow))
+        self.position = {col: k for k, (col, _, _) in enumerate(self.pivots)}
 
     @property
     def rank(self):
         return len(self.pivots)
 
     def residual(self, row):
-        """Forward-reduce a sparse row against the pivots; {} means in span."""
+        """Forward-reduce a sparse row against the pivots; {} means in span.
+
+        Only the pivots whose columns the row meets are visited, popped
+        from a heap of their positions in elimination order; a pivot row
+        brings in only later pivot columns, which join the heap.  The
+        result is a primitive row, determined up to sign.
+        """
         v = _primitive(row)
-        for col, pval, prow in self.pivots:
-            if col in v:
-                f = v[col]
-                new = {c: pval * x for c, x in v.items()}
-                for c, x in prow.items():
-                    new[c] = new.get(c, 0) - f * x
-                v = _strip(new)
-            if not v:
-                break
-        return v
+        position, pivots = self.position, self.pivots
+        heap = [position[c] for c in v if c in position]
+        heapq.heapify(heap)
+        while heap:
+            col, p, prow = pivots[heapq.heappop(heap)]
+            f = v.get(col)
+            if f is None:
+                continue
+            # v becomes a*v - b*prow, which clears col: a unit pivot needs
+            # no scaling, any other scales v by p/gcd(p, f) first
+            if p == 1 or p == -1:
+                b = f * p
+            else:
+                g = gcd(p, f)
+                b = f // g
+                a = p // g
+                if a != 1:
+                    for c in v:
+                        v[c] *= a
+            for c, x in prow.items():
+                y = v.get(c)
+                if y is None:
+                    v[c] = -b * x
+                    if c in position:
+                        heapq.heappush(heap, position[c])
+                else:
+                    y -= b * x
+                    if y:
+                        v[c] = y
+                    else:
+                        del v[c]
+        return _strip(v)
 
     def contains(self, row):
         return not self.residual(row)
@@ -266,7 +301,7 @@ def snf(mat):
         for i in cols.pop(col):
             if i != pid and col in idx.sub(i, rows[i][col] // p, prow, col):
                 left.append(i)
-        cols[col] = left
+        cols[col] = dict.fromkeys(left)
         if len(left) > 1:
             continue
         # the column is clear, so column operations reduce the rest of the
@@ -275,7 +310,7 @@ def snf(mat):
             prow[c] %= p
             if not prow[c]:
                 del prow[c]
-                cols[c].remove(pid)
+                del cols[c][pid]
         if len(prow) > 1:
             heapq.heappush(idx.heap, (len(prow), pid))
         else:

@@ -318,6 +318,20 @@ def test_burnside_pushforward_with_rules(tmp_path, capsys):
     assert out.strip() == "+1 [Z -> Z]"
 
 
+@pytest.mark.parametrize("rules", [
+    "", {}, {"E1": "F"}, ["E1"], [["E1", "F"]],
+])
+def test_burnside_boundary_rejects_malformed_rules(tmp_path, capsys, rules):
+    # "" and {} were once read as no rules: the boundary came out
+    # unrewritten with exit 0
+    model = write(tmp_path, "m.json", {"dim": 1, "labels": ["E1"]})
+    rules = write(tmp_path, "rules.json", rules)
+    code, out, err = run(capsys, "burnside", "boundary", "--model", model,
+                         "--rules", rules)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_burnside_tower(tmp_path, capsys):
     big = write(tmp_path, "big.json", {"dim": 2, "labels": ["Y"],
                                        "strata": {}, "name": "X",
@@ -457,6 +471,31 @@ def test_diagram_rejects_malformed_shapes(tmp_path, capsys, kind, doc):
     # document that is not an object crashed with a traceback
     inp = write(tmp_path, "d.json", doc)
     code, out, err = run(capsys, "diagram", kind, "--input", inp, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+_LOOP = {"objects": ["x"],
+         "morphisms": [{"name": "i", "src": "x", "dst": "x", "iso": True}],
+         "identities": {"x": "i"}}
+
+
+@pytest.mark.parametrize("doc", [
+    [_CAT],
+    {**_CAT, "identities": [["a", "ia"], ["b", "ib"]]},
+    {**_CAT, "identities": "ab"},
+    {**_CAT, "morphisms": {m["name"]: m for m in _CAT["morphisms"]}},
+    {**_CAT, "morphisms": [["ia", "a", "a"], ["ib", "b", "b"]]},
+    {**_LOOP, "compose": ["iii"]},
+    {**_LOOP, "compose": {"iii": 0}},
+    {**_LOOP, "compose": "iii"},
+])
+def test_diagram_category_rejects_malformed_shapes(tmp_path, capsys, doc):
+    # an array of identity pairs, a composite spelled as one string of
+    # one-letter names and a table given as an object were once accepted
+    inp = write(tmp_path, "cat.json", doc)
+    code, out, err = run(capsys, "diagram", "category", "--input", inp,
+                         "--json")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 

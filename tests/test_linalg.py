@@ -184,6 +184,65 @@ def test_row_combinations_stay_in_span(rows):
     assert in_span(combo, m)
 
 
+def dense_rank_reference(rows2d):
+    """Rank over Q by dense Gaussian elimination on Fraction copies."""
+    a = [[Fraction(v) for v in r] for r in rows2d]
+    rank = 0
+    for j in range(max((len(r) for r in a), default=0)):
+        piv = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][j] / a[rank][j]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+fraction_entries = strat.fractions(min_value=-3, max_value=3,
+                                   max_denominator=6)
+
+
+@strat.composite
+def span_queries(draw):
+    """A matrix and a query of its width.
+
+    The query is a random row (mostly not in the span), a rational
+    combination of the rows, or such a combination with one entry moved.
+    """
+    rows = draw(strat.one_of(matrices(5, 7),
+                             matrices(5, 7, entries=non_unit_entries),
+                             matrices(4, 6, entries=fraction_entries)))
+    width = len(rows[0])
+    kind = draw(strat.sampled_from(["random", "combination", "moved"]))
+    if kind == "random":
+        entries = strat.one_of(small_entries, non_unit_entries,
+                               fraction_entries)
+        return rows, draw(strat.lists(entries, min_size=width,
+                                      max_size=width))
+    coeffs = draw(strat.lists(strat.one_of(small_entries, fraction_entries),
+                              min_size=len(rows), max_size=len(rows)))
+    query = [sum(f * r[j] for f, r in zip(coeffs, rows))
+             for j in range(width)]
+    if kind == "moved":
+        j = draw(strat.integers(min_value=0, max_value=width - 1))
+        query[j] += draw(strat.sampled_from([-2, -1, 1, Fraction(1, 2)]))
+    return rows, query
+
+
+@hypothesis.settings(max_examples=400)
+@hypothesis.given(span_queries())
+def test_in_span_matches_dense_rank_oracle(case):
+    # q is in the row span exactly when appending it keeps the rank
+    rows, query = case
+    member = (dense_rank_reference(rows + [query])
+              == dense_rank_reference(rows))
+    sparse = {j: v for j, v in enumerate(query) if v}
+    assert in_span(sparse, dense(rows)) == member
+
+
 @hypothesis.given(matrices())
 def test_snf_divisibility_chain(rows):
     factors = snf(dense(rows))
