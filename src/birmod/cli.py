@@ -301,8 +301,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

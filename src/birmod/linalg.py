@@ -1,33 +1,35 @@
 """Exact sparse linear algebra over Z and Q.
 
 A matrix is a list of sparse rows (dict column -> nonzero scalar); scalars
-are ints or Fractions.  Both eliminations below run on one private index:
-the rows keyed by their original position, a column -> row ids index whose
-sizes are the live column counts, and a heap of (nnz, row id) that yields
-the sparsest row, lowest id first on ties, and drops entries made stale by
-updates.  A pivot touches only the rows listed under its column, and only
-the pivot row's columns can enter or leave a row, so only their entries in
-the index change; no step rescans the whole matrix.
+are ints or Fractions.
 
 Rank and span (``Echelon``): every row is scaled to a primitive integer
-row, which is harmless for ranks and row spans.  Elimination is fraction
-free: a row r with entry f under pivot p becomes (p*r - f*prow)/gcd(p, f),
-divided by its content, so no Fraction arithmetic happens in the inner loop
-and coefficients stay small.  Pivots are chosen Markowitz style (Markowitz
-1957): the sparsest row, then the column of that row that is rarest among
-the live rows, then the smallest entry, which keeps fill-in low on the
-near-diagonal relation matrices produced elsewhere in this package.  A
-span query visits only the pivots whose columns it meets: their positions
-go on a heap and are popped in elimination order, and a reduction that
-brings in a later pivot column pushes that pivot's position.
+row, which is harmless for ranks and row spans.  Reduction is fraction
+free: a row v with entry f under pivot p becomes (p*v - f*prow)/gcd(p, f),
+so no Fraction arithmetic happens in the inner loop, and the content of
+the result is divided out at the end.  A span query visits only the
+pivots whose columns it meets: their positions go on a heap and are popped
+in the order the pivots were found, and a reduction that brings in a later
+pivot column pushes that pivot's position.  The echelon is built by that
+same query: the rows, sparsest first (a stable sort by nnz), are each
+reduced against the pivots found so far, and a nonzero residual becomes a
+new pivot on its last (largest) column.  So no pivot row holds an earlier
+pivot's column, and a pivot row is never updated again.  Both rules were
+measured on relation matrices (2 cores, CPython 3.11.7): unsorted, the
+(2, 199, minus) matrix took 0.95 s instead of 0.28 s; pivoting on the
+column rarest in the input instead of the last, (3, 29) took 5.1 s
+instead of 0.28 s, with twice the pivot nonzeros.  The price is denser
+pivot rows than a Markowitz elimination (sparsest row, rarest column, every
+row under the pivot updated) gives: 21740 pivot nonzeros against 10639 at
+(3, 29), in a third of the time.
 
-Smith form (``snf``): over Z a pivot of +-1 is unimodular, so it is cleared
-with plain integer row updates and no content division, and contributes an
-invariant factor 1 (Dumas, Saunders and Villard, J. Symb. Comput. 2001).
-When no +-1 entry remains, the entry of least absolute value takes one
-Euclid step on the same index: its column is reduced modulo it, and once
-the column is clear so is its row, by column operations that touch no
-other row.  Nothing is ever copied into a dense matrix.
+Smith form (``snf``): one Euclid step per pivot, on a private index of
+the rows, their column lists and a sparsest-row heap.  The step reduces
+the pivot's column modulo it, and once the column is clear so is its row,
+by column operations that touch no other row.  A +-1 pivot, taken first
+wherever one is left (Dumas, Saunders and Villard, J. Symb. Comput. 2001),
+clears both in one pass and gives the factor 1.  A step touches only the
+rows listed under its column, and nothing is copied into a dense matrix.
 """
 
 import heapq
@@ -57,11 +59,12 @@ def _strip(row):
 class _Index:
     """Integer rows keyed by id, the ids under each column, a sparsest-row heap.
 
-    ``cols[c]`` holds exactly the ids of the live rows with a nonzero in
-    column c, as the keys of an insertion-ordered dict: ids leave and join
-    in O(1), and iteration runs in the order the ids joined.  The heap
-    holds (nnz, id) pairs; one whose row has gone or changed length since
-    it was pushed is stale and skipped when popped.
+    The ids are the rows' original positions.  ``cols[c]`` holds exactly
+    the ids of the live rows with a nonzero in column c, as the keys of an
+    insertion-ordered dict: ids leave and join in O(1), and iteration runs
+    in the order the ids joined.  The heap holds (nnz, id) pairs; one whose
+    row has gone or changed length since it was pushed is stale and skipped
+    when popped.
     """
 
     def __init__(self, rows):
@@ -109,55 +112,22 @@ class _Index:
             del self.rows[i]
         return r
 
-    def eliminate(self, pid, col, unit):
-        """Remove row ``pid`` and clear column ``col`` from every other row.
-
-        With ``unit`` the pivot is +-1 and a row r with entry f becomes
-        r - f*p*prow, a unimodular step; otherwise it becomes
-        (p*r - f*prow)/gcd(p, f) divided by its content.
-        """
-        rows, cols = self.rows, self.cols
-        prow = rows.pop(pid)
-        p = prow[col]
-        for c in prow:
-            if c != col:
-                del cols[c][pid]
-        for i in cols.pop(col):
-            if i == pid:
-                continue
-            r = rows[i]
-            f = r[col]
-            if unit:
-                self.sub(i, f * p, prow, col)
-                continue
-            g = gcd(p, f)
-            a = p // g
-            if a != 1:
-                for c in r:
-                    r[c] *= a
-            if self.sub(i, f // g, prow, col):
-                g = gcd(*r.values())
-                if g > 1:
-                    for c in r:
-                        r[c] //= g
-
 
 class Echelon:
-    """Pivot rows from one elimination pass, usable for span membership."""
+    """Pivot rows built by the span query itself, usable for span membership."""
 
     def __init__(self, rows, ncols):
         self.ncols = ncols
-        # pivots: list of (col, pivot_value, row_dict) in elimination order.
+        # pivots: list of (col, pivot_value, row_dict) in the order found.
         # Each pivot row is free of all earlier pivot columns, so forward
         # reduction in this order is a valid membership test.
         self.pivots = []
-        idx = _Index([_primitive(r) for r in rows])
-        while (pid := idx.pop()) is not None:
-            prow = idx.rows[pid]
-            col = min(prow, key=lambda c: (len(idx.cols[c]), abs(prow[c]), c))
-            idx.eliminate(pid, col, False)
-            self.pivots.append((col, prow[col], prow))
-        self.position = {col: k for k, (col, _, _) in enumerate(self.pivots)}
+        self.position = {}
+        for r in sorted(rows, key=len):
+            if v := self.residual(r):
+                col = max(v)
+                self.position[col] = len(self.pivots)
+                self.pivots.append((col, v[col], v))
 
     @property
     def rank(self):
@@ -167,7 +137,7 @@ class Echelon:
         """Forward-reduce a sparse row against the pivots; {} means in span.
 
         Only the pivots whose columns the row meets are visited, popped
-        from a heap of their positions in elimination order; a pivot row
+        from a heap of their positions in the order found; a pivot row
         brings in only later pivot columns, which join the heap.  The
         result is a primitive row, determined up to sign.
         """
@@ -253,14 +223,16 @@ def in_span(row, mat):
 def snf(mat):
     """Invariant factors d1 | d2 | ... of an integer matrix.
 
-    +-1 pivots are cleared first, each giving a factor 1.  When none is
-    left, the entry p of least |p| (then the sparsest row, the rarest
-    column, the lowest ids) is a pivot: every other row r with entry f in
-    its column becomes r - (f // p)*prow.  If a remainder, smaller than
-    |p|, is left there, the +-1 pivots resume.  Otherwise column operations
-    reduce the pivot row's other entries mod p; if none is left the row
-    goes with the factor |p|, else it holds a smaller entry.  Fraction
-    entries must be integral: this is integral structure only.
+    The pivot is a +-1 entry of the sparsest changed row (the rarest such
+    column) while there is one, else the entry p of least |p| (then the
+    sparsest row, the rarest column, the lowest ids).  Every other row r
+    with entry f in its column becomes r - (f // p)*prow.  If a remainder,
+    smaller than |p|, is left there, the next pivot is chosen.  Otherwise
+    column operations reduce the pivot row's other entries mod p; if none
+    is left the row goes with the factor |p|, else it holds a smaller
+    entry.  A +-1 pivot clears its column and its row at once, with the
+    factor 1.  Fraction entries must be integral: this is integral
+    structure only.
     """
     rows = []
     for r in mat.rows:
@@ -275,26 +247,23 @@ def snf(mat):
         rows.append(ints)
     idx = _Index(rows)
     rows, cols = idx.rows, idx.cols
-    ones = 0
     diag = []
     # a popped row without a +-1 entry stays in the index, and goes back on
     # the heap only if a later pivot changes it
     while rows:
         pid = idx.pop()
         if pid is not None:
-            prow = rows[pid]
-            units = [c for c, v in prow.items() if v == 1 or v == -1]
-            if units:
-                col = min(units, key=lambda c: (len(cols[c]), c))
-                idx.eliminate(pid, col, True)
-                ones += 1
-            continue
-        # no +-1 entry is left anywhere: a Euclid step on the least entry
-        m, n, _ = min((min(map(abs, r.values())), len(r), i)
-                      for i, r in rows.items())
-        _, pid, col = min((len(cols[c]), i, c)
-                          for i, r in rows.items() if len(r) == n
-                          for c, v in r.items() if v == m or v == -m)
+            units = [c for c, v in rows[pid].items() if v == 1 or v == -1]
+            if not units:
+                continue
+            col = min(units, key=lambda c: (len(cols[c]), c))
+        else:
+            # no +-1 entry is left anywhere: the least entry
+            m, n, _ = min((min(map(abs, r.values())), len(r), i)
+                          for i, r in rows.items())
+            _, pid, col = min((len(cols[c]), i, c)
+                              for i, r in rows.items() if len(r) == n
+                              for c, v in r.items() if v == m or v == -m)
         prow = rows[pid]
         p = prow[col]
         left = [pid]
@@ -326,4 +295,4 @@ def snf(mat):
                 g = gcd(diag[i], diag[i + 1])
                 diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
                 changed = True
-    return (1,) * ones + tuple(diag)
+    return tuple(diag)

@@ -40,6 +40,9 @@ class QZ(Fraction):
     def __sub__(self, other):
         return QZ(Fraction.__sub__(self, other))
 
+    def __rsub__(self, other):
+        return QZ(Fraction.__rsub__(self, other))
+
     def __neg__(self):
         return QZ(Fraction.__neg__(self))
 

@@ -93,6 +93,9 @@ def _wire_rational(value):
 
 
 def symbol_from_json(data):
+    """A symbol from its wire form, a JSON array of entries."""
+    if not isinstance(data, list):
+        raise ValueError("expected an array of entries, got %r" % (data,))
     return canonicalize(_wire_rational(s) for s in data)
 
 
@@ -196,16 +199,15 @@ class FormalSum(LinComb):
         return " + ".join("%s*%r" % (c, s) for s, c in self.items())
 
 
-def sum_from_json(data, rational=None):
+def sum_from_json(data):
     """Parse the wire format [{"c": int-or-"p/q", "s": [entries]}, ...].
 
     Terms naming the same symbol add up.  A string coefficient anywhere
-    makes the sum rational unless ``rational`` says otherwise.
+    makes the sum rational.
     """
     terms = [(_wire_rational(item["c"]), symbol_from_json(item["s"]),
               isinstance(item["c"], str)) for item in data]
-    if rational is None:
-        rational = any(saw_string for _, _, saw_string in terms)
+    rational = any(saw_string for _, _, saw_string in terms)
     return FormalSum(((s, c) for c, s, _ in terms), rational=rational)
 
 

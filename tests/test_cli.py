@@ -158,6 +158,7 @@ def test_apply_rejects_bad_spec(tmp_path, capsys):
     [{"c": True, "s": ["1/3"]}],
     [{"c": 1, "s": [0.5]}],
     [{"c": "1e3", "s": ["1/3"]}],
+    [{"c": 1, "s": "13"}],
 ])
 def test_apply_rejects_bad_wire_numbers(tmp_path, capsys, doc):
     inp = write(tmp_path, "x.json", doc)

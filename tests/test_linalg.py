@@ -243,6 +243,20 @@ def test_in_span_matches_dense_rank_oracle(case):
     assert in_span(sparse, dense(rows)) == member
 
 
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(strat.one_of(matrices(5, 7),
+                               matrices(5, 7, entries=non_unit_entries),
+                               matrices(4, 6, entries=fraction_entries)))
+def test_rank_matches_dense_rank_oracle(rows):
+    m = dense(rows)
+    assert rank_q(m) == dense_rank_reference(rows)
+    # what the span query relies on: no pivot row holds the column of an
+    # earlier pivot, so reducing in pivot order never undoes a cleared one
+    pivots = m.echelon().pivots
+    for k, (_, _, prow) in enumerate(pivots):
+        assert not any(col in prow for col, _, _ in pivots[:k])
+
+
 @hypothesis.given(matrices())
 def test_snf_divisibility_chain(rows):
     factors = snf(dense(rows))

@@ -42,6 +42,11 @@ def test_order_is_reduced_denominator():
 def test_group_law_examples():
     assert QZ(1, 2) + QZ(2, 3) == QZ(1, 6)
     assert QZ(1, 3) - QZ(1, 2) == QZ(5, 6)
+    # a plain left operand wraps too, and the difference stays a QZ
+    assert type(0 - QZ(1, 3)) is QZ and 0 - QZ(1, 3) == QZ(2, 3)
+    assert type(Fraction(1, 2) - QZ(1, 3)) is QZ
+    assert Fraction(1, 2) - QZ(1, 3) == QZ(1, 6)
+    assert Fraction(1, 4) - QZ(1, 2) == QZ(3, 4)
     assert -QZ(1, 3) == QZ(2, 3)
     assert -QZ(0) == QZ(0)
     assert 3 * QZ(1, 6) == QZ(1, 2)
