@@ -127,8 +127,21 @@ def cmd_apply(args):
 def cmd_laws(args):
     ks = tuple(int(p) for p in args.ks.split(",") if p.strip())
     if args.suite in _LAW_LIFT_POWERS:
-        _check_expansion("laws --suite " + args.suite, 1, max(ks, default=1),
-                         _LAW_LIFT_POWERS[args.suite] * args.max_n)
+        k = max(ks, default=1)
+        power = _LAW_LIFT_POWERS[args.suite] * args.max_n
+        _check_expansion("laws --suite " + args.suite, 1, k, power)
+        # the whole grid: every cell (every pair of cells for ringhom) may
+        # reach the largest expansion, which the check above has bounded
+        # for k >= 2; a smaller k is refused by check_laws itself
+        cells = max(args.max_n, 0) * max(args.max_N - 1, 0)
+        if args.suite == "ringhom":
+            cells *= cells
+        if k >= 2 and cells * k ** power > MAX_APPLY_TUPLES:
+            raise ValueError("laws --suite %s would expand %d grid cell(s) "
+                             "into up to %d^%d tuples each, above the cap "
+                             "of %d tuples in all"
+                             % (args.suite, cells, k, power,
+                                MAX_APPLY_TUPLES))
     report = check_laws(args.suite, args.max_n, args.max_N, ks)
     if args.json:
         _emit_json(report.to_json())

@@ -23,13 +23,18 @@ pivot rows than a Markowitz elimination (sparsest row, rarest column, every
 row under the pivot updated) gives: 21740 pivot nonzeros against 10639 at
 (3, 29), in a third of the time.
 
-Smith form (``snf``): one Euclid step per pivot, on a private index of
-the rows, their column lists and a sparsest-row heap.  The step reduces
-the pivot's column modulo it, and once the column is clear so is its row,
-by column operations that touch no other row.  A +-1 pivot, taken first
-wherever one is left (Dumas, Saunders and Villard, J. Symb. Comput. 2001),
-clears both in one pass and gives the factor 1.  A step touches only the
-rows listed under its column, and nothing is copied into a dense matrix.
+Smith form (``snf``): one Euclid step per pivot, on the rows by id, the
+row ids under each column and one heap.  The pivot is the entry of least
+|p| (then the sparsest row, the lowest row id, the rarest column), so a
++-1 is taken wherever one is left, as Dumas, Saunders and Villard do
+(J. Symb. Comput. 2001), and gives the factor 1.  The heap holds
+(bound, nnz, id) keys whose bound is a lower bound on the row's least
+|entry|: a changed row goes on with bound 1, and its least entry is found
+only when it comes off, so a long row is not rescanned on every update.
+The step reduces the pivot's column modulo p, and once the column is
+clear so is its row, by column operations that touch no other row.  A
+step touches only the rows listed under its column, and nothing is copied
+into a dense matrix.
 """
 
 import heapq
@@ -54,63 +59,6 @@ def _strip(row):
     if g > 1:
         items = {c: v // g for c, v in items.items()}
     return items
-
-
-class _Index:
-    """Integer rows keyed by id, the ids under each column, a sparsest-row heap.
-
-    The ids are the rows' original positions.  ``cols[c]`` holds exactly
-    the ids of the live rows with a nonzero in column c, as the keys of an
-    insertion-ordered dict: ids leave and join in O(1), and iteration runs
-    in the order the ids joined.  The heap holds (nnz, id) pairs; one whose
-    row has gone or changed length since it was pushed is stale and skipped
-    when popped.
-    """
-
-    def __init__(self, rows):
-        self.rows = {i: r for i, r in enumerate(rows) if r}
-        self.cols = {}
-        for i, r in self.rows.items():
-            for c in r:
-                self.cols.setdefault(c, {})[i] = None
-        self.heap = [(len(r), i) for i, r in self.rows.items()]
-        heapq.heapify(self.heap)
-
-    def pop(self):
-        """Id of the sparsest live row not yet popped since its last change."""
-        heap, rows = self.heap, self.rows
-        while heap:
-            nnz, i = heapq.heappop(heap)
-            r = rows.get(i)
-            if r is not None and len(r) == nnz:
-                return i
-        return None
-
-    def sub(self, i, b, prow, col):
-        """Row i -= b*prow; an emptied row is dropped, any other is pushed.
-
-        Only the pivot row's columns can change, so only their id sets are
-        touched, all but ``col``'s, which the caller keeps.  Returns the row.
-        """
-        r, cols = self.rows[i], self.cols
-        for c, v in prow.items():
-            x = r.get(c)
-            if x is None:
-                r[c] = -b * v
-                cols[c][i] = None
-            else:
-                x -= b * v
-                if x:
-                    r[c] = x
-                else:
-                    del r[c]
-                    if c != col:
-                        del cols[c][i]
-        if r:
-            heapq.heappush(self.heap, (len(r), i))
-        else:
-            del self.rows[i]
-        return r
 
 
 class Echelon:
@@ -223,19 +171,20 @@ def in_span(row, mat):
 def snf(mat):
     """Invariant factors d1 | d2 | ... of an integer matrix.
 
-    The pivot is a +-1 entry of the sparsest changed row (the rarest such
-    column) while there is one, else the entry p of least |p| (then the
-    sparsest row, the rarest column, the lowest ids).  Every other row r
-    with entry f in its column becomes r - (f // p)*prow.  If a remainder,
-    smaller than |p|, is left there, the next pivot is chosen.  Otherwise
-    column operations reduce the pivot row's other entries mod p; if none
-    is left the row goes with the factor |p|, else it holds a smaller
-    entry.  A +-1 pivot clears its column and its row at once, with the
-    factor 1.  Fraction entries must be integral: this is integral
-    structure only.
+    The pivot is the entry p of least |p| (then the sparsest row, the
+    lowest row id, the rarest column).  Every other row r with entry f in
+    its column becomes r - (f // p)*prow.  If a remainder, smaller than
+    |p|, is left there, the next pivot is chosen.  Otherwise column
+    operations reduce the pivot row's other entries mod p; if none is left
+    the row goes with the factor |p|, else it holds a smaller entry.  So
+    the least entry falls at every step that removes no row.  Fraction
+    entries must be integral: this is integral structure only.
     """
-    rows = []
-    for r in mat.rows:
+    # rows by id (the original position); cols[c] holds the ids of the rows
+    # with a nonzero in column c, as the keys of an insertion-ordered dict,
+    # so ids leave and join in O(1)
+    rows, cols = {}, {}
+    for i, r in enumerate(mat.rows):
         ints = {}
         for c, v in r.items():
             if isinstance(v, Fraction):
@@ -244,34 +193,57 @@ def snf(mat):
                 v = v.numerator
             if v:
                 ints[c] = v
-        rows.append(ints)
-    idx = _Index(rows)
-    rows, cols = idx.rows, idx.cols
+                cols.setdefault(c, {})[i] = None
+        if ints:
+            rows[i] = ints
+    # heap of (bound, nnz, id); a key whose row has gone or changed length
+    # is stale, and a changed row is pushed afresh with bound 1
+    heap = [(1, len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
     diag = []
-    # a popped row without a +-1 entry stays in the index, and goes back on
-    # the heap only if a later pivot changes it
     while rows:
-        pid = idx.pop()
-        if pid is not None:
-            units = [c for c, v in rows[pid].items() if v == 1 or v == -1]
-            if not units:
-                continue
-            col = min(units, key=lambda c: (len(cols[c]), c))
-        else:
-            # no +-1 entry is left anywhere: the least entry
-            m, n, _ = min((min(map(abs, r.values())), len(r), i)
-                          for i, r in rows.items())
-            _, pid, col = min((len(cols[c]), i, c)
-                              for i, r in rows.items() if len(r) == n
-                              for c, v in r.items() if v == m or v == -m)
-        prow = rows[pid]
+        bound, nnz, pid = heapq.heappop(heap)
+        prow = rows.get(pid)
+        if prow is None or len(prow) != nnz:
+            continue
+        m = min(map(abs, prow.values()))
+        # every live row has a key no larger than its own on the heap, so a
+        # row at or under its popped bound is the least one
+        if m > bound:
+            heapq.heappush(heap, (m, nnz, pid))
+            continue
+        col = min((c for c, v in prow.items() if v == m or v == -m),
+                  key=lambda c: (len(cols[c]), c))
         p = prow[col]
         left = [pid]
         for i in cols.pop(col):
-            if i != pid and col in idx.sub(i, rows[i][col] // p, prow, col):
+            if i == pid:
+                continue
+            # row i -= b*prow: only prow's columns change
+            r = rows[i]
+            b = r[col] // p
+            for c, v in prow.items():
+                x = r.get(c)
+                if x is None:
+                    r[c] = -b * v
+                    cols[c][i] = None
+                else:
+                    x -= b * v
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
+                        if c != col:
+                            del cols[c][i]
+            if not r:
+                del rows[i]
+                continue
+            heapq.heappush(heap, (1, len(r), i))
+            if col in r:
                 left.append(i)
         cols[col] = dict.fromkeys(left)
         if len(left) > 1:
+            heapq.heappush(heap, (m, nnz, pid))
             continue
         # the column is clear, so column operations reduce the rest of the
         # row mod p and touch no other row
@@ -281,7 +253,7 @@ def snf(mat):
                 del prow[c]
                 del cols[c][pid]
         if len(prow) > 1:
-            heapq.heappush(idx.heap, (len(prow), pid))
+            heapq.heappush(heap, (1, len(prow), pid))
         else:
             del rows[pid], cols[col]
             diag.append(abs(p))

@@ -1,8 +1,8 @@
 """Exact arithmetic in Q/Z.
 
 Elements are reduced fractions num/den with 0 <= num < den, so the zero
-class is 0/1.  No floating point anywhere; everything is stdlib Fraction
-underneath.
+class is 0/1.  No floating point anywhere: a float argument or operand is
+refused with TypeError.  Everything is stdlib Fraction underneath.
 """
 
 from fractions import Fraction
@@ -20,6 +20,8 @@ class QZ(Fraction):
     __slots__ = ()
 
     def __new__(cls, numerator=0, denominator=None):
+        if isinstance(numerator, float) or isinstance(denominator, float):
+            raise TypeError("QZ takes no float arguments")
         if denominator is None:
             value = Fraction(numerator)
         else:
@@ -33,14 +35,20 @@ class QZ(Fraction):
         return self.denominator
 
     def __add__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return QZ(Fraction.__add__(self, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return QZ(Fraction.__sub__(self, other))
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return QZ(Fraction.__rsub__(self, other))
 
     def __neg__(self):

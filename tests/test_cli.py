@@ -209,6 +209,20 @@ def test_laws_refuses_huge_expansions(capsys, args, size):
     assert "1 term(s) into %s tuples each" % size in err
 
 
+@pytest.mark.parametrize("args, cells, size", [
+    (("--suite", "ringhom", "--max-n", "3", "--max-N", "12"), 1089, "3^9"),
+    (("--suite", "lemma48", "--max-n", "3", "--max-N", "30", "--ks", "2,4"),
+     87, "4^6"),
+])
+def test_laws_refuses_huge_grids(capsys, args, cells, size):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "laws", *args)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "%d grid cell(s) into up to %s tuples each" % (cells, size) in err
+
+
 @pytest.mark.parametrize("suite, max_n, max_N", [
     ("lemma48", "0", "6"), ("ringhom", "2", "1"), ("coalg", "-1", "-1"),
 ])

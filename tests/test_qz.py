@@ -53,6 +53,23 @@ def test_group_law_examples():
     assert 2 * QZ(1, 2) == QZ(0)
 
 
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        QZ(0.5)
+    with pytest.raises(TypeError):
+        QZ(1, 2.0)
+    with pytest.raises(TypeError):
+        QZ(1, 3) + 0.1
+    with pytest.raises(TypeError):
+        0.1 + QZ(1, 3)
+    with pytest.raises(TypeError):
+        QZ(1, 3) - 0.1
+    with pytest.raises(TypeError):
+        0.1 - QZ(1, 3)
+    with pytest.raises(TypeError):
+        QZ(1, 3) * 0.5
+
+
 def test_preimages_examples():
     assert preimages(QZ(1, 3), 2) == (QZ(1, 6), QZ(2, 3))
     assert preimages(QZ(0), 3) == (QZ(0), QZ(1, 3), QZ(2, 3))
