@@ -13,9 +13,9 @@ from .ops import (sigma_op, rho_op, rho_hat_op, e_op, nabla_op, delta_op,
                   descent_failures)
 from .groupring import GroupRingElem, gr_sigma, gr_rho, bridge
 from .burnside import (BurnGen, BurnElem, Model, Stratum, model_from_json,
-                       boundary_snc, check_grading, RewriteRules,
-                       pushforward, CyclicAction, tower_boundary_check,
-                       TowerResult, parse_composite)
+                       edges_from_json, boundary_snc, check_grading,
+                       RewriteRules, pushforward, CyclicAction,
+                       tower_boundary_check, TowerResult, parse_composite)
 from .diagram import (Diagram, Edge, build_pairs_diagram,
                       build_equivariant_diagram, Morphism, CatPresentation,
                       check_poset_in_groupoids, quotient_T)

@@ -149,6 +149,16 @@ def model_from_json(data):
                  boundary_target=data.get("boundary"))
 
 
+def edges_from_json(data):
+    """Read a tower edge map: labels to generator objects or null."""
+    if not isinstance(data, dict):
+        raise ValueError("an edge map must be a JSON object")
+    return {label: None if g is None else BurnGen(
+                *parse_composite(str(g["source"])), str(g["target"]),
+                dim_from_json(g["dim"]))
+            for label, g in data.items()}
+
+
 def boundary_snc(model, target=None):
     """Signed sum of stratum-times-affine classes over the target label."""
     if target is None:

@@ -40,7 +40,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product, starmap
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 
 from .symbols import (FormalSum, enumerate_symbols, relation_matrix,
@@ -48,11 +48,31 @@ from .symbols import (FormalSum, enumerate_symbols, relation_matrix,
                       _sym, _wrap)
 
 MAX_STORED_FAILURES = 50
+# the lift and the torsion shift expand k^arity tuples per term; above this
+# many they are refused before they start (rho:2 on 1562 arity-6 terms,
+# 99968 tuples, took 4.8 s and 123 MB peak RSS on a 2-core Xeon host)
+MAX_TUPLES = 10 ** 5
+# a law grid's symbols times their largest expansions: a lift tuple costs
+# 0.7-2.1 us and a coproduct split 7-10 us there, so a grid at the budget
+# runs about 20 s (lemma48), 9 s (ringhom) or 90 s (coalg)
+MAX_GRID_TUPLES = 10 ** 7
 
 
 def _check_k(k):
     if not isinstance(k, int) or k < 1:
         raise ValueError("operator index must be a positive integer")
+
+
+def _bound(what, terms, k, power):
+    """Refuse terms * k^power tuples above MAX_TUPLES, one factor at a time
+    (so a huge k^power is never formed)."""
+    tuples = terms
+    for _ in range(power):
+        tuples *= k
+        if tuples > MAX_TUPLES:
+            raise ValueError("%s would expand %d term(s) into %d^%d tuples "
+                             "each, above the cap of %d tuples"
+                             % (what, terms, k, power, MAX_TUPLES))
 
 
 def _count(runs):
@@ -108,6 +128,7 @@ def sigma_op(k, x):
 def rho_op(k, x):
     """Sum over all k^arity entrywise preimage tuples."""
     _check_k(k)
+    _bound("rho:%d" % k, len(x.terms), k, x.arity)
     L = _level(x) * k
     return _wrap(_raw_rho(k, L, _raw_of(x, L)), L, x.arity, x.rational)
 
@@ -123,6 +144,7 @@ def rho_hat_op(k, x):
 def e_op(k, x):
     """Sum over all k^arity torsion-shift tuples of the shifted symbol."""
     _check_k(k)
+    _bound("ek:%d" % k, len(x.terms), k, x.arity)
     L = lcm(k, _level(x))
     return _wrap(_raw_e(k, L, _raw_of(x, L)), L, x.arity, x.rational)
 
@@ -145,11 +167,11 @@ def nabla_op(ell, x, y, strict=True):
     return _wrap(out, L, arity, x.rational or y.rational)
 
 
+@dataclass
 class DeltaSum:
     """Output of the coproduct: tensor terms grouped by arity split."""
 
-    def __init__(self):
-        self.buckets = {}
+    buckets: dict = field(default_factory=dict)
 
     def add(self, split, left, right, coeff):
         b = self.buckets.setdefault(split, {})
@@ -161,11 +183,6 @@ class DeltaSum:
 
     def is_zero(self):
         return not self.buckets
-
-    def __eq__(self, other):
-        if not isinstance(other, DeltaSum):
-            return NotImplemented
-        return self.buckets == other.buckets
 
     def items(self):
         return [(split, l, r, c) for split in sorted(self.buckets)
@@ -391,6 +408,42 @@ def _coalg_cell(law, info, n, N, ks):
                              "rhs": _delta_sum(rhs, N).to_json()})
 
 
+def _grid_size(max_n, max_N, weight):
+    """Sum weight(n) * C(N+n-1, n), a bound on the symbols of cell (n, N),
+    over the grid, stopping once the sum passes MAX_GRID_TUPLES."""
+    total = 0
+    for n in range(1, max_n + 1):
+        for N in range(2, max_N + 1):
+            total += weight(n) * comb(N + n - 1, n)
+            if total > MAX_GRID_TUPLES:
+                return total
+    return total
+
+
+def _bound_grid(suite, max_n, max_N, ks):
+    """Refuse a grid too large for the budgets before any cell is built.
+
+    With k the largest index, an arity-n symbol costs k^(2n) tuples in
+    lemma48 and 2^n splits per k in coalg; ringhom pairs of arities n, m
+    cost k^(2n+m), in sum at most the symbols times the sum of k^(3n)."""
+    k, cells = ks[-1], max_n * (max_N - 1)
+    if suite == "coalg":
+        each = "%d x 2^%d splits" % (len(ks), max_n)
+        size = _grid_size(max_n, max_N, lambda n: len(ks) << n)
+    else:
+        power = 2 if suite == "lemma48" else 3
+        _bound("laws --suite " + suite, 1, k, power * max_n)
+        each = "%d^%d tuples" % (k, power * max_n)
+        size = _grid_size(max_n, max_N, lambda n: k ** (power * n))
+        if suite == "ringhom":
+            cells *= cells
+            size *= _grid_size(max_n, max_N, lambda n: 1)
+    if size > MAX_GRID_TUPLES:
+        raise ValueError("laws --suite %s would expand %d grid cell(s) into "
+                         "up to %s each, above the budget of %d in all"
+                         % (suite, cells, each, MAX_GRID_TUPLES))
+
+
 def check_laws(suite, max_n, max_N, ks):
     """Verify an operator-law suite on the full (arity, modulus) grid.
 
@@ -400,11 +453,14 @@ def check_laws(suite, max_n, max_N, ks):
     lift, ``coalg`` the coproduct compatibility of scaling (asserted for
     coprime scale only, other instances are reported as information).
     """
+    if suite not in ("lemma48", "ringhom", "coalg"):
+        raise ValueError("unknown suite %r" % suite)
     ks = tuple(sorted(set(ks)))
     if not ks or any(k < 2 for k in ks):
         raise ValueError("operator indices must be integers >= 2")
     if max_n < 1 or max_N < 2:
         raise ValueError("empty grid: need max_n >= 1 and max_N >= 2")
+    _bound_grid(suite, max_n, max_N, ks)
     grid = {"max_n": max_n, "max_N": max_N, "ks": list(ks)}
     cells = list(product(range(1, max_n + 1), range(2, max_N + 1)))
     info_rows = []
@@ -425,13 +481,11 @@ def check_laws(suite, max_n, max_N, ks):
             _ringhom_cell(laws[0], n1, m1, n2, m2, ks)
         info = {"notes": "product level is explicit; lifted second factors "
                          "are accepted without the order check"}
-    elif suite == "coalg":
+    else:
         laws = [LawCheck("scale_coproduct_hom")]
         for n, N in cells:
             _coalg_cell(laws[0], info_rows, n, N, ks)
         info = {"non_coprime_reports": info_rows}
-    else:
-        raise ValueError("unknown suite %r" % suite)
     return OperatorReport(suite, grid, laws, info)
 
 

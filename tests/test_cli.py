@@ -82,6 +82,9 @@ def test_rank_rejects_bad_arity(capsys):
     code, out, err = run(capsys, "rank", "--n", "0", "--N", "5")
     assert code == 2 and out == ""
     assert err.startswith("error:")
+    code, out, err = run(capsys, "rank", "--n", "1", "--N", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_apply_text_and_out_file(tmp_path, capsys):
@@ -221,6 +224,21 @@ def test_laws_refuses_huge_grids(capsys, args, cells, size):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert "%d grid cell(s) into up to %s tuples each" % (cells, size) in err
+
+
+@pytest.mark.parametrize("args", [
+    ("--suite", "lemma48", "--max-n", "3", "--max-N", "200", "--ks", "2"),
+    ("--suite", "coalg", "--max-n", "12", "--max-N", "30"),
+])
+def test_laws_refuses_runaway_grids(capsys, args):
+    # each cell's single expansion passes the cap; the grid's symbols
+    # times their expansions do not
+    start = time.perf_counter()
+    code, out, err = run(capsys, "laws", *args)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "grid cell(s) into up to" in err
 
 
 @pytest.mark.parametrize("suite, max_n, max_N", [

@@ -1,6 +1,7 @@
 """Scaling, lift, torsion-shift, product and coproduct operators plus the
 law-verification drivers."""
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -472,6 +473,46 @@ def test_check_laws_rejects_bad_input():
     for max_n, max_N in ((0, 4), (2, 1)):
         with pytest.raises(ValueError, match="empty grid"):
             check_laws("coalg", max_n, max_N, (2,))
+
+
+@pytest.mark.parametrize("op", [rho_op, e_op, rho_hat_op])
+def test_expanding_operators_refuse_huge_inputs(op):
+    # 2^20 tuples: refused before the expansion starts
+    x = FormalSum.of(S(*["1/3"] * 20), rational=True)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"1 term\(s\) into 2\^20 tuples"):
+        op(2, x)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("suite, max_n, max_N, ks", [
+    ("lemma48", 3, 200, (2,)),
+    ("coalg", 12, 30, (2, 3)),
+    ("coalg", 10 ** 10, 10 ** 10, (2,)),
+    ("ringhom", 2, 10 ** 10, (2,)),
+])
+def test_check_laws_refuses_huge_grids_before_any_cell(monkeypatch, suite,
+                                                       max_n, max_N, ks):
+    # each cell's single expansion is small, but the symbols are many;
+    # no cell may be built before the grid is refused
+    def no_cells(n, N):
+        raise AssertionError("a cell was built")
+    monkeypatch.setattr(birmod.ops, "enumerate_symbols", no_cells)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="grid cell"):
+        check_laws(suite, max_n, max_N, ks)
+    assert time.perf_counter() - start < 1
+
+
+def test_grid_budget_bounds_every_symbol():
+    # C(N+n-1, n) bounds the symbols of a cell, so the grid size counts
+    # at least the cells' symbols
+    for n in range(1, 4):
+        for N in range(2, 9):
+            size = birmod.ops._grid_size(n, N, lambda _: 1)
+            assert size >= sum(len(enumerate_symbols(m, M))
+                               for m in range(1, n + 1)
+                               for M in range(2, N + 1))
 
 
 def test_report_json_shape():
