@@ -21,7 +21,9 @@ column rarest in the input instead of the last, (3, 29) took 5.1 s
 instead of 0.28 s, with twice the pivot nonzeros.  The price is denser
 pivot rows than a Markowitz elimination (sparsest row, rarest column, every
 row under the pivot updated) gives: 21740 pivot nonzeros against 10639 at
-(3, 29), in a third of the time.
+(3, 29), in a third of the time.  Once every column holds a pivot, any
+row inside the columns is in the span: the query answers it at once, and
+the build skips the rows left.
 
 Smith form (``snf``): one Euclid step per pivot, on the rows by id, the
 row ids under each column and one heap.  The pivot is the entry of least
@@ -71,11 +73,16 @@ class Echelon:
         # reduction in this order is a valid membership test.
         self.pivots = []
         self.position = {}
+        # the columns of [0, ncols) with no pivot yet; at none, every row
+        # inside them is in the span, and the rows left are skipped
+        self.missing = ncols
         for r in sorted(rows, key=len):
             if v := self.residual(r):
                 col = max(v)
                 self.position[col] = len(self.pivots)
                 self.pivots.append((col, v[col], v))
+                if 0 <= col < ncols:
+                    self.missing -= 1
 
     @property
     def rank(self):
@@ -87,8 +94,12 @@ class Echelon:
         Only the pivots whose columns the row meets are visited, popped
         from a heap of their positions in the order found; a pivot row
         brings in only later pivot columns, which join the heap.  The
-        result is a primitive row, determined up to sign.
+        result is a primitive row, determined up to sign.  Once every
+        column of [0, ncols) holds a pivot, a row inside them is answered
+        at once.
         """
+        if not self.missing and all(0 <= c < self.ncols for c in row):
+            return {}
         v = _primitive(row)
         position, pivots = self.position, self.pivots
         heap = [position[c] for c in v if c in position]

@@ -26,6 +26,12 @@ and decodes only the rows it reports.  Those rows, and the components a
 descent check reports, are written by ``FormalSum.to_json`` like every
 other sum.
 
+A descent check relies on the operators being linear.  It expands, sorts
+and splits by modulus the image of each basis symbol once per (k,
+operator), and sums those images into the image of each relation row.  A
+component that cancels is dropped, and its target matrix is not built.
+A target of full rank answers each span query without elimination.
+
 One helper, ``_count``, sums every expansion: it counts each coefficient
 group's entry combinations in one ``Counter`` (so the work per combination
 runs in C) and merges the groups with their coefficients.  Zeros are
@@ -48,9 +54,10 @@ from .symbols import (FormalSum, enumerate_symbols, relation_matrix,
                       _sym, _wrap)
 
 MAX_STORED_FAILURES = 50
-# the lift and the torsion shift expand k^arity tuples per term; above this
-# many they are refused before they start (rho:2 on 1562 arity-6 terms,
-# 99968 tuples, took 4.8 s and 123 MB peak RSS on a 2-core Xeon host)
+# the lift, the torsion shift and the product (through the lift of its
+# first factor) expand k^arity tuples per term; above this many they are
+# refused before they start (rho:2 on 1562 arity-6 terms, 99968 tuples,
+# took 4.8 s and 123 MB peak RSS on a 2-core Xeon host)
 MAX_TUPLES = 10 ** 5
 # a law grid's symbols times their largest expansions: a lift tuple costs
 # 0.7-2.1 us and a coproduct split 7-10 us there, so a grid at the budget
@@ -161,6 +168,10 @@ def nabla_op(ell, x, y, strict=True):
         raise ValueError("product level must be an integer >= 2")
     if strict and any(ell % a.order for sy in y.terms for a in sy):
         raise ValueError("entry order does not divide the level")
+    # each lifted term of x meets every term of y; with y zero the lift of
+    # x is still expanded
+    _bound("nabla:%d" % ell, len(x.terms) * max(len(y.terms), 1), ell,
+           x.arity)
     L = _level(x, y) * ell
     out = _concat(_raw_rho(ell, L, _raw_of(x, L)), _raw_of(y, L))
     arity = x.arity + y.arity if x.terms and y.terms else 0
@@ -256,12 +267,13 @@ class LawCheck:
     failures: int = 0
     samples: list = field(default_factory=list)
 
-    def record(self, ok, payload):
+    def record(self, ok, sample):
+        """Count one check; a failure keeps sample(), built only then."""
         self.checked += 1
         if not ok:
             self.failures += 1
             if len(self.samples) < MAX_STORED_FAILURES:
-                self.samples.append(payload)
+                self.samples.append(sample())
 
 
 @dataclass
@@ -317,28 +329,28 @@ def _lemma48_cell(laws, info, n, N, ks):
                 lhs = _raw_sigma(k, L, sig[l])
                 rhs = _raw_sigma(k * l, L, x)
                 laws["scale_multiplicative"].record(
-                    _same(lhs, rhs), {**tag, "k": k, "l": l})
+                    _same(lhs, rhs), lambda: {**tag, "k": k, "l": l})
                 lhs = _raw_rho(k, L, rho[l])
                 laws["lift_multiplicative"].record(
-                    _same(lhs, rho[k * l]), {**tag, "k": k, "l": l})
+                    _same(lhs, rho[k * l]), lambda: {**tag, "k": k, "l": l})
                 if gcd(k, l) == 1:
                     lhs = _raw_sigma(k, L, rho[l])
                     rhs = _raw_rho(l, L, sig[k])
                     laws["scale_lift_commute"].record(
-                        _same(lhs, rhs), {**tag, "k": k, "l": l})
+                        _same(lhs, rhs), lambda: {**tag, "k": k, "l": l})
         for k in ks:
             lhs = _raw_rho(k, L, sig[k])
             rhs = _raw_e(k, L, x)
             laws["lift_scale_torsion_shift"].record(
-                _same(lhs, rhs), {**tag, "k": k})
+                _same(lhs, rhs), lambda: {**tag, "k": k})
             lhs = _raw_sigma(k, L, rho[k])
             rhs = {t: k ** n}
             laws["scale_lift_scalar"].record(_same(lhs, rhs),
-                                             {**tag, "k": k})
+                                             lambda: {**tag, "k": k})
             # expanded anew, so the check is not derived from rho[k]
             hat = _raw_rho(k, L, {t: Fraction(1, k ** n)})
             laws["averaged_lift_section"].record(
-                _same(_raw_sigma(k, L, hat), x), {**tag, "k": k})
+                _same(_raw_sigma(k, L, hat), x), lambda: {**tag, "k": k})
         # the projected composites genuinely deviate on annihilated symbols
         for k in ks:
             if not _proj(sig[k]):
@@ -387,9 +399,9 @@ def _ringhom_cell(law, n1, m1, n2, m2, ks):
                     lhs = _raw_rho(k, L, prod_xy)
                     rhs = _concat(lifted[ell, k], ry[k])
                     law.record(_same(lhs, rhs),
-                               {"nx": n1, "mx": m1, "ny": n2, "my": m2,
-                                "k": k, "l": ell, "x": sx.to_json(),
-                                "y": sy.to_json()})
+                               lambda: {"nx": n1, "mx": m1, "ny": n2,
+                                        "my": m2, "k": k, "l": ell,
+                                        "x": sx.to_json(), "y": sy.to_json()})
 
 
 def _coalg_cell(law, info, n, N, ks):
@@ -400,7 +412,7 @@ def _coalg_cell(law, info, n, N, ks):
             rhs = _raw_delta(1, N, _raw_sigma(k, N, x))
             tag = {"n": n, "N": N, "k": k, "symbol": sym.to_json()}
             if gcd(k, N) == 1:
-                law.record(lhs == rhs, tag)
+                law.record(lhs == rhs, lambda: tag)
             elif lhs != rhs:
                 info.append({**tag, "law": "scale_coproduct_hom",
                              "note": "non-coprime instance differs",
@@ -489,35 +501,55 @@ def check_laws(suite, max_n, max_N, ks):
     return OperatorReport(suite, grid, laws, info)
 
 
+def _by_modulus(sums, L):
+    """Sort coded tuples at level L and split them into exact-modulus
+    components, each recoded to its modulus; the all-zero tuple has none."""
+    parts = {}
+    for t, c in _sym(sums).items():
+        g = gcd(L, *t)
+        if g < L:
+            parts.setdefault(L // g, {})[tuple(x // g for x in t)] = c
+    return parts
+
+
 def descent_failures(n, N, minus, ks):
     """Relation vectors whose operator images leave the relation span.
 
     Empty output means the operators descend to the presented quotient at
     (n, N): the image of every relation row decomposes by exact modulus
     and each component lies in the rational span of the relation rows of
-    the target module.  Images are taken on codes at the level the public
-    operator would pick, sorted, and each component is recoded to its
-    modulus.
+    the target module.  The operators are linear, so a row's image is
+    the sum of its coefficients times the images of its basis symbols.
+    Each basis symbol is expanded once per (k, operator), on first use:
+    on its code at the level the public operator would pick, sorted, and
+    split into components recoded to their moduli.  A component that
+    cancels in the sum is dropped, and no target matrix is built for it.
     """
     for k in ks:
         _check_k(k)
     mats = {}
     src = mats[N] = relation_matrix(n, N, minus)
+    images = {}  # (k, operator) -> basis column -> components of its image
     fails = []
     for i, r in enumerate(src.mat.rows):
         for k in ks:
             for name, L, op in (("scale", N, _raw_sigma),
                                 ("lift", N * k, _raw_rho),
                                 ("torsion_shift", lcm(k, N), _raw_e)):
-                row = {tuple(L // N * x for x in src.codes[j]): c
-                       for j, c in r.items()}
+                cache = images.setdefault((k, name), {})
                 parts = {}
-                for t, c in _sym(op(k, L, row)).items():
-                    g = gcd(L, *t)
-                    if g < L:  # the all-zero tuple has no modulus
-                        parts.setdefault(L // g, {})[
-                            tuple(x // g for x in t)] = c
-                for M, comp in sorted(parts.items()):
+                for j, c in r.items():
+                    if j not in cache:
+                        code = tuple(L // N * x for x in src.codes[j])
+                        cache[j] = _by_modulus(op(k, L, {code: 1}), L)
+                    for M, comp in cache[j].items():
+                        part = parts.setdefault(M, {})
+                        for t, x in comp.items():
+                            part[t] = part.get(t, 0) + c * x
+                for M, part in sorted(parts.items()):
+                    comp = {t: x for t, x in part.items() if x}
+                    if not comp:
+                        continue
                     if M not in mats:
                         mats[M] = relation_matrix(n, M, minus)
                     vec = {mats[M].index[t]: c for t, c in comp.items()}

@@ -7,6 +7,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+import birmod.linalg
 from birmod import SparseMat, in_span, rank_q, snf
 
 small_entries = strat.integers(min_value=-4, max_value=4)
@@ -255,6 +256,52 @@ def test_rank_matches_dense_rank_oracle(rows):
     pivots = m.echelon().pivots
     for k, (_, _, prow) in enumerate(pivots):
         assert not any(col in prow for col, _, _ in pivots[:k])
+
+
+@strat.composite
+def full_rank_queries(draw):
+    """Random rows plus a non-unit diagonal, so every column holds a pivot,
+    and a random query of the same width."""
+    rows = draw(strat.one_of(matrices(4, 6),
+                             matrices(4, 6, entries=fraction_entries)))
+    width = len(rows[0])
+    diag = draw(strat.lists(strat.sampled_from([-3, -2, 2, 3, 5]),
+                            min_size=width, max_size=width))
+    rows = rows + [[d if j == i else 0 for j in range(width)]
+                   for i, d in enumerate(diag)]
+    query = draw(strat.lists(strat.one_of(small_entries, fraction_entries),
+                             min_size=width, max_size=width))
+    return rows, query
+
+
+@hypothesis.settings(max_examples=60)
+@hypothesis.given(full_rank_queries(),
+                  strat.integers(min_value=0, max_value=3),
+                  strat.sampled_from([-1, 1, 2, Fraction(1, 3)]))
+def test_full_rank_echelon_holds_every_row_in_range(case, beyond, value):
+    rows, query = case
+    m = dense(rows)
+    width = len(query)
+    assert rank_q(m) == width
+    row = {j: v for j, v in enumerate(query) if v}
+    assert in_span(row, m)
+    # a column at or past ncols has no pivot, so the row stays outside
+    row[width + beyond] = value
+    assert not in_span(row, m)
+
+
+def test_full_rank_build_skips_the_rows_left(monkeypatch):
+    # the unit rows come first (sparsest); once they fill every column the
+    # denser rows are in the span without a reduction
+    reduced = []
+    primitive = birmod.linalg._primitive
+    monkeypatch.setattr(birmod.linalg, "_primitive",
+                        lambda row: reduced.append(row) or primitive(row))
+    m = dense([[1, 2, 3], [0, 4, 5], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert rank_q(m) == 3
+    assert len(reduced) == 3
+    assert in_span({0: 7, 1: -1, 2: Fraction(1, 2)}, m)
+    assert len(reduced) == 3
 
 
 @hypothesis.given(matrices())

@@ -1,7 +1,10 @@
 """Scaling, lift, torsion-shift, product and coproduct operators plus the
 law-verification drivers."""
 
+import hashlib
+import json
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -485,6 +488,17 @@ def test_expanding_operators_refuse_huge_inputs(op):
     assert time.perf_counter() - start < 1
 
 
+def test_nabla_refuses_a_huge_lift():
+    # 2^18 lifts of one arity-18 symbol: refused like rho_op, not expanded
+    x = FormalSum.of(S(*["1/3"] * 18))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"nabla:2 .* 2\^18 tuples"):
+        nabla_op(2, x, one("1/2"))
+    with pytest.raises(ValueError, match=r"2\^18 tuples"):
+        nabla_op(2, x, FormalSum({}, 1))
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("suite, max_n, max_N, ks", [
     ("lemma48", 3, 200, (2,)),
     ("coalg", 12, 30, (2, 3)),
@@ -565,6 +579,59 @@ def test_descent_images_match_public_operators(monkeypatch, n, N, minus):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_descent_expands_each_basis_code_once_per_operator(monkeypatch):
+    # by linearity a row's image sums the images of its basis codes, so
+    # each code is expanded at most once per (k, operator), whatever the
+    # number of rows it sits in
+    expanded = Counter()
+    for name in ("_raw_sigma", "_raw_rho", "_raw_e"):
+        def counting(k, L, sums, raw=getattr(birmod.ops, name), name=name):
+            expanded.update((name, k, t) for t in sums)
+            return raw(k, L, sums)
+        monkeypatch.setattr(birmod.ops, name, counting)
+    assert descent_failures(3, 5, True, (2, 3)) == []
+    assert expanded and max(expanded.values()) == 1
+
+
+def test_law_failure_samples_are_unchanged(monkeypatch):
+    # every check fails, so every sample is built; the reports are those
+    # the suites gave when they built a sample for every check
+    monkeypatch.setattr(birmod.ops, "_same", lambda a, b: False)
+    tag = {"n": 1, "N": 2, "symbol": ["1/2"]}
+    pairs = [{**tag, "k": k, "l": l} for k in (2, 3) for l in (2, 3)]
+    singles = [{**tag, "k": k} for k in (2, 3)]
+    rep = check_laws("lemma48", 1, 2, (2, 3))
+    assert {l.law: l.samples for l in rep.laws} == {
+        "scale_multiplicative": pairs,
+        "lift_multiplicative": pairs,
+        "scale_lift_commute": [pairs[1], pairs[2]],
+        "lift_scale_torsion_shift": singles,
+        "scale_lift_scalar": singles,
+        "averaged_lift_section": singles}
+    rep = check_laws("ringhom", 1, 2, (2,))
+    assert rep.laws[0].samples == [{"nx": 1, "mx": 2, "ny": 1, "my": 2,
+                                    "k": 2, "l": 2, "x": ["1/2"],
+                                    "y": ["1/2"]}]
+    # the whole reports, as ``laws --json`` writes them
+    for args, digest in (
+            (("lemma48", 2, 3, (2, 3)), "b4be6ee8ccc54fe11954709c0f9b4fdf"
+                                        "8f05c31ab3b514c487817cd6fff32f8c"),
+            (("ringhom", 1, 3, (2,)), "cfe17020016e29486714e8faa2410064"
+                                      "1115115aa7df18d51f648bd817d127cb")):
+        doc = json.dumps(check_laws(*args).to_json(), sort_keys=True,
+                         indent=2)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_passing_law_checks_build_no_samples(monkeypatch):
+    # a ringhom sample names both symbols; none is written when all hold
+    def refuse(self):
+        raise AssertionError("built a sample for a passing check")
+    monkeypatch.setattr(Symbol, "to_json", refuse)
+    rep = check_laws("ringhom", 1, 3, (2,))
+    assert rep.failures_total == 0 and rep.laws[0].checked == 9
 
 
 def test_delta_sum_bookkeeping():
