@@ -152,6 +152,8 @@ def _write_dot(dia, path):
 
 
 def cmd_diagram(args):
+    if args.fstar_shift is not None and args.kind != "pairs":
+        raise ValueError("--fstar-shift applies to pairs diagrams only")
     data = _read_json(args.input)
     if args.kind == "category":
         cat = CatPresentation.from_json(data)

@@ -9,6 +9,7 @@ point of carrying this model alongside.
 """
 
 from .lincomb import LinComb
+from .ops import _check_k
 from .qz import QZ, preimages
 from .symbols import _wire_rational
 
@@ -45,15 +46,13 @@ class GroupRingElem(LinComb):
 
 def gr_sigma(k, x):
     """Scale every group element by k; e(0) stays, nothing is dropped."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("operator index must be a positive integer")
+    _check_k(k)
     return GroupRingElem((r * k, c) for r, c in x.terms.items())
 
 
 def gr_rho(k, x):
     """Sum over the k preimages of every group element."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("operator index must be a positive integer")
+    _check_k(k)
     return GroupRingElem((p, c) for r, c in x.terms.items()
                          for p in preimages(r, k))
 

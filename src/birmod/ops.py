@@ -354,12 +354,12 @@ def _lemma48_cell(laws, info, n, N, ks):
         # the projected composites genuinely deviate on annihilated symbols
         for k in ks:
             if not _proj(sig[k]):
+                # sigma_k annihilates x, so a lift of its projection is 0
                 rows = [({"l": l, "law": "scale_lift_commute"},
-                         _raw_sigma(k, L, _proj(rho[l])),
-                         _raw_rho(l, L, _proj(sig[k])))
+                         _raw_sigma(k, L, _proj(rho[l])), {})
                         for l in ks if gcd(k, l) == 1]
                 rows.append(({"law": "lift_scale_torsion_shift"},
-                             _raw_rho(k, L, _proj(sig[k])), _raw_e(k, L, x)))
+                             {}, _raw_e(k, L, x)))
                 for extra, lp, rp in rows:
                     lp, rp = _proj(lp), _proj(rp)
                     if not _same(lp, rp):

@@ -13,11 +13,12 @@ entry denominator divides: the entry a/d becomes the int a*L/d in
 [0, L).  The code is monotone, so a sorted symbol codes to a sorted int
 tuple and decodes without re-sorting; the coded tuple t has modulus
 L // gcd(L, *t).  Enumeration, relation rows, the signed form and ``ops``
-work on codes.  A relation matrix holds only the coded basis and its
-sparse rows; ``basis`` and ``rows`` decode on request.  The operators in
-``ops`` keep each entry at its position, so their coded tuples come in any
-order; ``_sym`` sorts them and adds equal ones once, where a result is
-decoded and handed out.
+work on codes.  A relation matrix writes each relation row once, on the
+basis columns, and holds only the coded basis and those sparse rows;
+``basis`` and ``rows`` (``relation_rows``) decode each symbol once, on
+request.  The operators in ``ops`` keep each entry at its position, so
+their coded tuples come in any order; ``_sym`` sorts them and adds equal
+ones once, where a result is decoded and handed out.
 """
 
 import re
@@ -54,7 +55,7 @@ class Symbol(tuple):
 
     def in_module(self, N):
         """Does the symbol lie in the arity-len module at modulus exactly N?"""
-        return all(N % a.order == 0 for a in self) and self.modulus == N
+        return self.modulus == N
 
     def to_json(self):
         return [str(a) for a in self]
@@ -282,49 +283,47 @@ def blowup_relation(entries, k, positions=None, modulus=None):
         raise ValueError("positions must be k distinct indices")
     m = lcm(*[a.order for a in t])
     if modulus is not None:
-        if any(modulus % a.order for a in t) or m != modulus:
+        if m != modulus:
             raise ValueError("tuple does not generate Z/%d" % modulus)
     elif m < 2:
         raise ValueError("the zero tuple generates nothing")
     return _wrap(_blowup_row(_enc(t, m), m, positions), m, n, False)
 
 
-def _relations(n, N, minus):
-    """Coded basis and relation rows at level N.
-
-    Blow-up rows, then negation rows if minus; each row is kept at its
-    first occurrence.  No row is zero: its coefficients sum to 1 - k or 2.
-    """
-    basis = _coded_symbols(n, N)
-    rows = [_blowup_row(t, N, pos) for t in basis for k in range(2, n + 1)
-            for pos in combinations(range(n), k)]
-    if minus:
-        for t in basis:
-            for p in range(n):
-                key = tuple(sorted(t[:p] + (-t[p] % N,) + t[p + 1:]))
-                rows.append({key: 2} if key == t else {key: 1, t: 1})
-    seen = {}
-    for r in rows:
-        seen.setdefault(tuple(sorted(r.items())), r)
-    return basis, list(seen.values())
-
-
 def relation_rows(n, N, minus=False):
     """Deduplicated nonzero relation vectors for the arity-n modulus-N module."""
-    return [_wrap(r, N, n, False) for r in _relations(n, N, minus)[1]]
+    return RelationMatrix(n, N, minus).rows
 
 
 class RelationMatrix:
-    """Coded symbol basis plus relation rows, with rank and span queries."""
+    """Coded symbol basis plus relation rows, with rank and span queries.
+
+    Blow-up rows, then negation rows if minus, each written on the basis
+    columns as it is made and kept at its first occurrence.  No row is
+    zero: its coefficients sum to 1 - k or 2.
+    """
 
     def __init__(self, n, N, minus=False):
         self.n, self.N, self.minus = n, N, minus
         # the basis coded at level N, and the column of each code
-        self.codes, rows = _relations(n, N, minus)
-        self.index = {t: i for i, t in enumerate(self.codes)}
-        self.mat = SparseMat(
-            [{self.index[t]: c for t, c in r.items()} for r in rows],
-            len(self.codes))
+        self.codes = basis = _coded_symbols(n, N)
+        self.index = index = {t: i for i, t in enumerate(basis)}
+        seen = {}
+
+        def keep(row):
+            row = {index[t]: c for t, c in row.items()}
+            seen.setdefault(tuple(sorted(row.items())), row)
+
+        for t in basis:
+            for k in range(2, n + 1):
+                for pos in combinations(range(n), k):
+                    keep(_blowup_row(t, N, pos))
+        if minus:
+            for t in basis:
+                for p in range(n):
+                    key = tuple(sorted(t[:p] + (-t[p] % N,) + t[p + 1:]))
+                    keep({key: 2} if key == t else {key: 1, t: 1})
+        self.mat = SparseMat(seen.values(), len(basis))
 
     @property
     def basis(self):

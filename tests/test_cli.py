@@ -407,6 +407,22 @@ def test_diagram_fstar_shift_flag(tmp_path, capsys):
     assert out0.strip() == "vertices 4 edges 2"
 
 
+@pytest.mark.parametrize("kind, doc", [
+    ("equivariant", {"twists": [["X", "Y"]]}),
+    ("category", {"objects": ["x"],
+                  "morphisms": [{"name": "ix", "src": "x", "dst": "x",
+                                 "iso": True}],
+                  "compose": [], "identities": {"x": "ix"}}),
+])
+def test_diagram_fstar_shift_only_for_pairs(tmp_path, capsys, kind, doc):
+    inp = write(tmp_path, "d.json", doc)
+    code, out, err = run(capsys, "diagram", kind, "--input", inp,
+                         "--fstar-shift", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--fstar-shift" in err
+    assert "Traceback" not in err
+
+
 def test_diagram_equivariant_json(tmp_path, capsys):
     inp = write(tmp_path, "tw.json", {"twists": [["X", "Y"]]})
     code, out, _ = run(capsys, "diagram", "equivariant", "--input", inp,

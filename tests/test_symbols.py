@@ -10,6 +10,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+import birmod.symbols
 from birmod import (TWO_TORSION, FormalSum, QZ, SparseMat, blowup_relation,
                     canonicalize, enumerate_symbols, minus_canonicalize,
                     minus_reduce, rank_q, relation_matrix, relation_rows,
@@ -228,6 +229,30 @@ def test_relation_rows_match_qz_reference(minus):
             col = {s: i for i, s in enumerate(basis)}
             assert m.mat.rows == [{col[s]: c for s, c in r.items()}
                                   for r in rows]
+
+
+@pytest.mark.parametrize("minus", [False, True])
+def test_relation_rows_are_the_matrix_rows(minus):
+    for n in range(1, 4):
+        for N in range(2, 10):
+            rows = relation_rows(n, N, minus)
+            mat_rows = RelationMatrix(n, N, minus).rows
+            assert rows == mat_rows
+            assert [list(r.terms.items()) for r in rows] == \
+                [list(r.terms.items()) for r in mat_rows]
+
+
+def test_relation_rows_decode_each_basis_code_once(monkeypatch):
+    decoded = []
+    dec = birmod.symbols._dec
+
+    def counting(t, L):
+        decoded.append((t, L))
+        return dec(t, L)
+
+    monkeypatch.setattr(birmod.symbols, "_dec", counting)
+    rows = relation_rows(3, 7, True)
+    assert rows and len(decoded) == len(set(decoded))
 
 
 def test_rank_examples():
