@@ -139,19 +139,24 @@ class Echelon:
 
 
 class SparseMat:
-    """A sparse matrix over Z or Q with exact rank and span queries."""
+    """A sparse matrix over Z or Q with exact rank and span queries.
+
+    The matrix keeps the caller's row dicts, not copies; only a row that
+    holds a zero entry is copied without it.  Neither the echelon nor
+    ``snf`` writes to a row, so the caller's rows are never changed, but a
+    caller that changes a row after handing it over changes the matrix.
+    """
 
     def __init__(self, rows, ncols):
         self.ncols = ncols
         self.rows = []
         for r in rows:
-            clean = {}
-            for c, v in r.items():
-                if not (0 <= c < ncols):
-                    raise ValueError("column index %r out of range" % (c,))
-                if v:
-                    clean[c] = v
-            self.rows.append(clean)
+            if r and (min(r) < 0 or max(r) >= ncols):
+                c = next(c for c in r if not 0 <= c < ncols)
+                raise ValueError("column index %r out of range" % (c,))
+            if not all(r.values()):
+                r = {c: v for c, v in r.items() if v}
+            self.rows.append(r)
         self._ech = None
 
     @classmethod

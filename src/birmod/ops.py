@@ -26,6 +26,18 @@ and decodes only the rows it reports.  Those rows, and the components a
 descent check reports, are written by ``FormalSum.to_json`` like every
 other sum.
 
+The lift acts entry by entry, so a lifted symbol is the product over
+positions of per-entry multisets.  Where both sides of a law are such
+products with the same positive mass at each position (k*l lifted codes
+per entry for ``lift_multiplicative`` and, at the x positions, for
+``lift_product_hom``), the sides are equal exactly when the factors are
+equal at every position: a side's marginal at one position is its factor
+there times the other factors' masses.  Those two laws are decided from
+per-entry lifts, memoised by entry code for the cell.  Where some position
+differs, both sides are expanded in full and compared sorted by
+``_same``, so every verdict, count and sample is the one the full
+expansion gives.
+
 A descent check relies on the operators being linear.  It expands, sorts
 and splits by modulus the image of each basis symbol once per (k,
 operator), and sums those images into the image of each relation row.  A
@@ -59,9 +71,11 @@ MAX_STORED_FAILURES = 50
 # refused before they start (rho:2 on 1562 arity-6 terms, 99968 tuples,
 # took 4.8 s and 123 MB peak RSS on a 2-core Xeon host)
 MAX_TUPLES = 10 ** 5
-# a law grid's symbols times their largest expansions: a lift tuple costs
-# 0.7-2.1 us and a coproduct split 7-10 us there, so a grid at the budget
-# runs about 20 s (lemma48), 9 s (ringhom) or 90 s (coalg)
+# a law grid's symbols times their largest expansions, which bounds the
+# worst case: a failing lift_multiplicative or lift_product_hom check
+# expands both sides in full, a passing one compares per-entry lifts.
+# When every law holds, a grid at the budget runs about 2.5-7 s (lemma48),
+# 2 s (ringhom) or 90 s (coalg) on that host; in full, 15-22 s and 15 s
 MAX_GRID_TUPLES = 10 ** 7
 
 
@@ -162,7 +176,8 @@ def nabla_op(ell, x, y, strict=True):
     The level is explicit and never inferred from the second factor.  With
     strict=True every entry of y must have order dividing ell (the second
     factor lives at that level); strict=False drops that check.  No law
-    cell calls this: the ring homomorphism cells call ``_concat`` on codes.
+    cell calls this: a ring homomorphism cell calls ``_concat`` on codes,
+    and only where a check is expanded in full.
     """
     if not isinstance(ell, int) or ell < 2:
         raise ValueError("product level must be an integer >= 2")
@@ -313,26 +328,56 @@ def _same(a, b):
     return a == b or _sym(a) == _sym(b)
 
 
+def _by_position(memo, t, lhs, rhs):
+    """Are the factors lhs(e) and rhs(e) equal at every entry of t?
+
+    Each maps a one-entry sum e to its expansion, with the same positive
+    mass on both sides, so this is whether the two ordered entrywise
+    products over t are equal.  Verdicts are memoised by entry code.
+    False refutes nothing: a law compares sorted sides, so the caller then
+    expands both in full for ``_same``.
+    """
+    for i in t:
+        ok = memo.get(i)
+        if ok is None:
+            e = {(i,): 1}
+            ok = memo[i] = _same(lhs(e), rhs(e))
+        if not ok:
+            return False
+    return True
+
+
 def _lemma48_cell(laws, info, n, N, ks):
+    """Check the lemma48 laws on every symbol of arity n and modulus N.
+
+    Both sides of lift_multiplicative lift each entry to k*l codes, so
+    the law is decided position by position (``_by_position``); only a
+    symbol on which some position differs has both sides expanded in
+    full and compared by ``_same``.  The other laws expand at most k^n
+    tuples a side and are compared whole.
+    """
     # two stacked lifts by k and l reach denominators N*k*l, which divide L
     L = N * lcm(*ks) ** 2
+    memo = {}  # (k, l) -> entry code -> lift_multiplicative verdict
     for sym in enumerate_symbols(n, N):
         t = _enc(sym, L)
         x = {t: 1}
         tag = {"n": n, "N": N, "symbol": sym.to_json()}
         sig = {k: _raw_sigma(k, L, x) for k in ks}
-        # each lift rho_k(x) and rho_kl(x) is expanded once
-        rho = {k: _raw_rho(k, L, x)
-               for k in {*ks, *(k * l for k in ks for l in ks)}}
+        rho = {k: _raw_rho(k, L, x) for k in ks}
         for k in ks:
             for l in ks:
                 lhs = _raw_sigma(k, L, sig[l])
                 rhs = _raw_sigma(k * l, L, x)
                 laws["scale_multiplicative"].record(
                     _same(lhs, rhs), lambda: {**tag, "k": k, "l": l})
-                lhs = _raw_rho(k, L, rho[l])
+                ok = _by_position(memo.setdefault((k, l), {}), t,
+                                  lambda e: _raw_rho(k, L, _raw_rho(l, L, e)),
+                                  lambda e: _raw_rho(k * l, L, e))
                 laws["lift_multiplicative"].record(
-                    _same(lhs, rho[k * l]), lambda: {**tag, "k": k, "l": l})
+                    ok or _same(_raw_rho(k, L, rho[l]),
+                                _raw_rho(k * l, L, x)),
+                    lambda: {**tag, "k": k, "l": l})
                 if gcd(k, l) == 1:
                     lhs = _raw_sigma(k, L, rho[l])
                     rhs = _raw_rho(l, L, sig[k])
@@ -380,28 +425,39 @@ _LEMMA48_LAWS = (
 
 
 def _ringhom_cell(law, n1, m1, n2, m2, ks):
+    """Check lift_product_hom on every pair of symbols x, y of arities n1,
+    n2 and moduli m1, m2.
+
+    Both sides are entrywise products: rho_k(rho_ell x) against
+    rho_ell(rho_k x) at the positions of x, each of mass k*ell, and rho_k y
+    on both sides at the positions of y.  So the verdict rests on the x
+    positions alone (``_by_position``), taken once per (x, ell, k) for all
+    y.  Only where some position differs are both sides of each pair
+    expanded in full and compared by ``_same``.
+    """
     # a lift by k and a product at level ell reach lcm(m1, m2)*k*ell
     L = lcm(m1, m2) * lcm(*ks) ** 2
-
-    def coded(n, m):
-        for s in enumerate_symbols(n, m):
-            t = {_enc(s, L): 1}
-            yield s, t, {k: _raw_rho(k, L, t) for k in ks}
-
-    ys = list(coded(n2, m2))
-    for sx, x, rx in coded(n1, m1):
-        # rho_ell(rho_k x) is expanded once per x, not once per y
-        lifted = {(ell, k): _raw_rho(ell, L, rx[k]) for ell in ks for k in ks}
-        for sy, y, ry in ys:
+    memo = {}  # (ell, k) -> entry code -> verdict
+    ys = [(sy, {_enc(sy, L): 1}) for sy in enumerate_symbols(n2, m2)]
+    for sx in enumerate_symbols(n1, m1):
+        t = _enc(sx, L)
+        x = {t: 1}
+        ok = {(ell, k): _by_position(
+                  memo.setdefault((ell, k), {}), t,
+                  lambda e: _raw_rho(k, L, _raw_rho(ell, L, e)),
+                  lambda e: _raw_rho(ell, L, _raw_rho(k, L, e)))
+              for ell in ks for k in ks}
+        for sy, y in ys:
             for ell in ks:
-                prod_xy = _concat(rx[ell], y)
                 for k in ks:
-                    lhs = _raw_rho(k, L, prod_xy)
-                    rhs = _concat(lifted[ell, k], ry[k])
-                    law.record(_same(lhs, rhs),
-                               lambda: {"nx": n1, "mx": m1, "ny": n2,
-                                        "my": m2, "k": k, "l": ell,
-                                        "x": sx.to_json(), "y": sy.to_json()})
+                    law.record(
+                        ok[ell, k] or _same(
+                            _raw_rho(k, L, _concat(_raw_rho(ell, L, x), y)),
+                            _concat(_raw_rho(ell, L, _raw_rho(k, L, x)),
+                                    _raw_rho(k, L, y))),
+                        lambda: {"nx": n1, "mx": m1, "ny": n2, "my": m2,
+                                 "k": k, "l": ell, "x": sx.to_json(),
+                                 "y": sy.to_json()})
 
 
 def _coalg_cell(law, info, n, N, ks):

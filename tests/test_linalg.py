@@ -150,6 +150,20 @@ def test_in_span_examples():
     assert in_span({0: Fraction(3, 4), 1: 0, 2: Fraction(3, 4)}, m)
 
 
+def test_sparse_mat_keeps_rows_and_checks_columns():
+    rows = [{0: 2, 2: 4}, {1: 0, 2: 3}, {}]
+    before = [dict(r) for r in rows]
+    m = SparseMat(rows, 3)
+    # a row with no zero is kept as given, one with a zero is copied
+    assert m.rows[0] is rows[0] and m.rows[2] is rows[2]
+    assert m.rows[1] == {2: 3} and rows[1] == {1: 0, 2: 3}
+    assert (rank_q(m), snf(m), in_span({0: 1, 2: 2}, m)) == (2, (1, 6), True)
+    assert rows == before
+    for bad in ({0: 1, 3: 1}, {-1: 1}, {3: 0}):
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMat([{0: 1}, bad], 3)
+
+
 def test_snf_examples():
     assert snf(dense([[2, 0], [0, 3]])) == (1, 6)
     assert snf(dense([[2, 4], [4, 8]])) == (2,)

@@ -625,6 +625,75 @@ def test_law_failure_samples_are_unchanged(monkeypatch):
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
+def test_position_verdict_matches_full_expansion():
+    # two entrywise products with equal positive masses at each position
+    # are equal exactly when their factors are; the cells take True from
+    # the factors and expand in full otherwise, so they agree with _same
+    verdicts = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(strat.integers(min_value=1, max_value=4),
+                      strat.integers(min_value=1, max_value=4),
+                      strat.integers(min_value=1, max_value=5), strat.data())
+    def check(k, l, m, data):
+        L = k * l * m
+        t = tuple(data.draw(strat.lists(
+            strat.integers(min_value=0, max_value=L - 1),
+            min_size=1, max_size=3)))
+        kl = k * l
+        lifts = lambda e: _raw_rho(k, L, _raw_rho(l, L, e))
+        for other in (lambda e: _raw_rho(kl, L, e),
+                      lambda e: _raw_rho(l, L, _raw_rho(k, L, e)),
+                      # a negative control: the factors differ on most t
+                      lambda e: _raw_e(kl, L, e)):
+            ok = birmod.ops._by_position({}, t, lifts, other)
+            lhs, rhs = lifts({t: 1}), other({t: 1})
+            assert ok == (lhs == rhs)
+            assert (ok or _same(lhs, rhs)) == _same(lhs, rhs)
+            verdicts.add(ok)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_holding_product_laws_expand_no_products(monkeypatch):
+    # lift_multiplicative and lift_product_hom are decided entry by entry
+    # when they hold: no side is concatenated, and no lift reaches more
+    # tuples than one lift of a symbol
+    sizes = []
+
+    def counting(k, L, sums, raw=birmod.ops._raw_rho):
+        out = raw(k, L, sums)
+        sizes.append(len(out))
+        return out
+
+    def refuse(a, b):
+        raise AssertionError("expanded a product in full")
+
+    monkeypatch.setattr(birmod.ops, "_raw_rho", counting)
+    monkeypatch.setattr(birmod.ops, "_concat", refuse)
+    for suite, max_n, max_N, ks in (("lemma48", 3, 5, (2, 3)),
+                                    ("ringhom", 2, 4, (2, 3))):
+        sizes.clear()
+        assert check_laws(suite, max_n, max_N, ks).failures_total == 0
+        assert sizes and max(sizes) <= max(ks) ** max_n
+
+
+def test_position_mismatch_falls_back_to_full_expansion(monkeypatch):
+    grids = (("lemma48", 2, 6, (2, 3)), ("ringhom", 1, 4, (2, 3)))
+    default = [json.dumps(check_laws(*g).to_json()) for g in grids]
+    concats = []
+
+    def counting(a, b, raw=birmod.ops._concat):
+        concats.append(1)
+        return raw(a, b)
+
+    monkeypatch.setattr(birmod.ops, "_by_position", lambda *a: False)
+    monkeypatch.setattr(birmod.ops, "_concat", counting)
+    assert [json.dumps(check_laws(*g).to_json()) for g in grids] == default
+    assert concats
+
+
 def test_passing_law_checks_build_no_samples(monkeypatch):
     # a ringhom sample names both symbols; none is written when all hold
     def refuse(self):

@@ -255,6 +255,19 @@ def test_relation_rows_decode_each_basis_code_once(monkeypatch):
     assert rows and len(decoded) == len(set(decoded))
 
 
+def test_relation_matrix_keeps_the_rows_it_built(monkeypatch):
+    built = []
+
+    def recording(rows, ncols):
+        built.extend(rows)
+        return SparseMat(built, ncols)
+
+    monkeypatch.setattr(birmod.symbols, "SparseMat", recording)
+    m = RelationMatrix(3, 7, True)
+    assert built and len(m.mat.rows) == len(built)
+    assert all(a is b for a, b in zip(m.mat.rows, built))
+
+
 def test_rank_examples():
     m = relation_matrix(1, 12)
     assert (len(m.basis), m.quotient_rank()) == (4, 4)
