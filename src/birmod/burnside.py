@@ -106,6 +106,7 @@ class Model:
         if self.boundary_target is None:
             self.boundary_target = self.name
         n = len(self.labels)
+        self.strata = dict(self.strata)  # the caller's dict stays as given
         for key, st in self.strata.items():
             if not key or not all(1 <= i <= n for i in key):
                 raise ValueError("bad stratum index set %r" % (set(key),))

@@ -44,20 +44,21 @@ operator), and sums those images into the image of each relation row.  A
 component that cancels is dropped, and its target matrix is not built.
 A target of full rank answers each span query without elimination.
 
-One helper, ``_count``, sums every expansion: it counts each coefficient
-group's entry combinations in one ``Counter`` (so the work per combination
-runs in C) and merges the groups with their coefficients.  Zeros are
-dropped only when some coefficient is not positive.  Combinations keep
-each entry at its position: the operators act entry by entry, so they
-commute with permuting positions, and ``symbols._sym`` sorts a result
-once, where it is decoded or printed.  Law cells compare ordered sides
-with ``_same``; the coproduct keys its output canonically.
+One helper, ``_count``, sums every expansion by one rule: it counts each
+run's entry combinations in a ``Counter`` (so the work per combination
+runs in C), adds them in times the run's coefficient and drops zeros.
+Multiplicities are integers; the averaged lift's 1/k^n divides a counted
+result.  Combinations keep each entry at its position: the operators act
+entry by entry, so they commute with permuting positions, and
+``symbols._sym`` sorts a result once, where it is decoded or printed.
+Law cells compare ordered sides with ``_same``; the coproduct keys its
+output canonically.
 """
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product, starmap
+from itertools import combinations, product, starmap
 from math import comb, gcd, lcm
 from operator import add
 
@@ -98,19 +99,13 @@ def _bound(what, terms, k, power):
 
 def _count(runs):
     """Sum c * <combo> over (c, iterator of entry tuples) pairs."""
-    groups = defaultdict(list)
+    out = Counter()
     for c, run in runs:
-        groups[c].append(run)
-    out = {}
-    for c, group in groups.items():
-        counts = Counter(chain.from_iterable(group))
-        if not out and c == 1:
-            out = dict(counts)
-            continue
-        for t, m in counts.items():
-            out[t] = out.get(t, 0) + c * m
-    if all(c > 0 for c in groups):
-        return out
+        if c == 1:
+            out.update(run)
+        else:
+            for t, m in Counter(run).items():
+                out[t] += c * m
     return {t: c for t, c in out.items() if c}
 
 
@@ -125,8 +120,10 @@ def _concat(a, b):
 
 
 def _raw_sigma(k, L, sums):
-    return _count((c, [tuple([k * i % L for i in t])])
-                  for t, c in sums.items())
+    out = defaultdict(int)
+    for t, c in sums.items():
+        out[tuple([k * i % L for i in t])] += c
+    return {t: c for t, c in out.items() if c}
 
 
 def _raw_rho(k, L, sums):
@@ -392,10 +389,12 @@ def _lemma48_cell(laws, info, n, N, ks):
             rhs = {t: k ** n}
             laws["scale_lift_scalar"].record(_same(lhs, rhs),
                                              lambda: {**tag, "k": k})
-            # expanded anew, so the check is not derived from rho[k]
-            hat = _raw_rho(k, L, {t: Fraction(1, k ** n)})
+            # expanded anew, not taken from rho[k]; as in rho_hat_op, the
+            # lift counts integers and 1/k^n divides the counted result
+            hat = _raw_sigma(k, L, _raw_rho(k, L, x))
+            hat = {u: Fraction(c, k ** n) for u, c in hat.items()}
             laws["averaged_lift_section"].record(
-                _same(_raw_sigma(k, L, hat), x), lambda: {**tag, "k": k})
+                _same(hat, x), lambda: {**tag, "k": k})
         # the projected composites genuinely deviate on annihilated symbols
         for k in ks:
             if not _proj(sig[k]):

@@ -22,12 +22,9 @@ class QZ(Fraction):
     def __new__(cls, numerator=0, denominator=None):
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("QZ takes no float arguments")
-        if denominator is None:
-            value = Fraction(numerator)
-        else:
-            value = Fraction(numerator, denominator)
-        value %= 1
-        return Fraction.__new__(cls, value)
+        value = Fraction(numerator, denominator)
+        return Fraction.__new__(cls, value.numerator % value.denominator,
+                                value.denominator)
 
     @property
     def order(self):

@@ -55,6 +55,22 @@ def test_model_guards():
         Model(2, ["E1", "E2"], {frozenset([1, 2]): Stratum("C", 1)})
 
 
+def test_model_refuses_a_negative_dimension():
+    with pytest.raises(ValueError):
+        Model(-1, ["E"], {})
+
+
+def test_model_leaves_the_given_strata_alone():
+    # the component strata were once added to the caller's dict, so a
+    # second model built from it printed the first model's labels
+    strata = {frozenset([1, 2]): Stratum("P", 0)}
+    Model(2, ["A", "B"], strata, name="Y")
+    assert list(strata) == [frozenset([1, 2])]
+    second = Model(2, ["C", "D"], strata, name="Y")
+    assert repr(boundary_snc(second)) == \
+        "+1 [C -> Y] +1 [D -> Y] -1 [P x A^1 -> Y]"
+
+
 def test_boundary_of_two_component_surface():
     bd = boundary_snc(two_component_model())
     assert bd == BurnElem({BurnGen("E1", 0, "X", 1): 1,
@@ -142,6 +158,18 @@ def test_cyclic_action_guards():
     CyclicAction(6, {"a": "b", "b": "c", "c": "a"})
 
 
+def test_cyclic_action_refuses_bad_levels_twists_and_copies():
+    for level in (0, -2, "2"):
+        with pytest.raises(ValueError):
+            CyclicAction(level, {"a": "a"})
+    a = CyclicAction(2, {"a": "b", "b": "a"})
+    for n in (0, -1, 1.0):
+        with pytest.raises(ValueError):
+            a.twist(n)
+        with pytest.raises(ValueError):
+            a.versch(n)
+
+
 def cycle_action(M):
     labels = ["c%d" % i for i in range(M)]
     return CyclicAction(M, {labels[i]: labels[(i + 1) % M]
@@ -194,3 +222,23 @@ def test_tower_boundary_check():
 
     with pytest.raises(ValueError):
         tower_boundary_check(big, big, {})
+
+
+def test_tower_boundary_check_with_rules_and_class_images():
+    # the big model's component "Yt" rewrites to "Y", whose boundary edge
+    # is sent to a class, and the small model's target "Zt" to "Z"
+    big = model_from_json({"dim": 2, "labels": ["Yt"], "strata": {},
+                           "name": "X", "boundary": "Y"})
+    small = model_from_json({"dim": 1, "labels": ["p"], "strata": {},
+                             "name": "Y", "boundary": "Zt"})
+    rules = RewriteRules([("Yt", "Y"), ("Zt", "Z")])
+    p = BurnGen("p", 0, "Z", 0)
+    res = tower_boundary_check(big, small, {"Y": BurnElem.of(p)}, rules)
+    assert res.ok and not res.unmapped
+    assert res.transported == res.expected == BurnElem.of(p)
+    # without the rules the component keeps its own label
+    res = tower_boundary_check(big, small, {"Y": BurnElem.of(p)})
+    assert not res.ok and res.unmapped == ["Yt"]
+    # a class image is scaled by the boundary coefficient
+    res = tower_boundary_check(big, small, {"Y": 2 * BurnElem.of(p)}, rules)
+    assert not res.ok and res.transported == BurnElem([(p, 2)])

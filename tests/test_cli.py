@@ -383,6 +383,33 @@ def test_burnside_tower(tmp_path, capsys):
     assert code == 1 and out.strip() == "tower check: fail"
 
 
+def test_burnside_tower_and_pushforward_json(tmp_path, capsys):
+    big = write(tmp_path, "big.json", {"dim": 2, "labels": ["Y"],
+                                       "strata": {}, "name": "X",
+                                       "boundary": "Y"})
+    small = write(tmp_path, "small.json", {"dim": 1, "labels": ["p"],
+                                           "strata": {}, "name": "Y",
+                                           "boundary": "Z"})
+    edges = write(tmp_path, "edges.json", {"Y": None})
+    code, out, _ = run(capsys, "burnside", "tower", "--big", big,
+                       "--small", small, "--edges", edges, "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["tool"] == "birmod"
+    assert doc["ok"] is False and doc["unmapped"] == []
+    assert doc["transported"] == []
+    assert doc["expected"] == [{"c": 1, "source": "p", "target": "Z",
+                                "dim": 0}]
+    relab = write(tmp_path, "map.json", {"Y": "W"})
+    code, out, _ = run(capsys, "burnside", "pushforward", "--model", big,
+                       "--map", relab, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["model"] == "X"
+    assert doc["pushforward"] == [{"c": 1, "source": "Y", "target": "W",
+                                   "dim": 1}]
+
+
 def test_diagram_pairs_with_dot(tmp_path, capsys):
     inp = write(tmp_path, "lad.json",
                 {"ladders": [["X", "Y", "Z"]], "i_range": [0, 1]})
@@ -547,6 +574,39 @@ def test_diagram_category_rejects_malformed_shapes(tmp_path, capsys, doc):
                          "--json")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_ARROW = {"name": "f", "src": "a", "dst": "b"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**_CAT, "objects": ["a", "b", "a"]}, "object names must be distinct"),
+    ({**_CAT, "morphisms": _CAT["morphisms"] * 2}, "two morphisms named"),
+    ({**_CAT, "morphisms": [*_CAT["morphisms"],
+                            {**_ARROW, "dst": "c"}]}, "endpoints unknown"),
+    ({**_CAT, "compose": [["ia", "ia", "h"]]}, "unknown morphism 'h'"),
+    ({**_CAT, "morphisms": [*_CAT["morphisms"], _ARROW],
+      "compose": [["f", "f", "f"]]}, "composition f then f undefined"),
+    ({**_CAT, "morphisms": [*_CAT["morphisms"], _ARROW],
+      "compose": [["ia", "f", "ia"]]}, "composite ia has wrong endpoints"),
+    ({**_CAT, "morphisms": [*_CAT["morphisms"], _ARROW,
+                            {**_ARROW, "name": "g"}],
+      "compose": [["ia", "f", "f"], ["ia", "f", "g"]]},
+     "conflicting composites for (ia, f)"),
+])
+def test_diagram_category_refuses_bad_presentations(tmp_path, capsys, doc,
+                                                    message):
+    inp = write(tmp_path, "cat.json", doc)
+    code, out, err = run(capsys, "diagram", "category", "--input", inp)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_diagram_pairs_refuses_three_labels(tmp_path, capsys):
+    inp = write(tmp_path, "p.json", {"pairs": [["a", "b", "c"]]})
+    code, out, err = run(capsys, "diagram", "pairs", "--input", inp)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exactly two labels" in err
 
 
 @pytest.mark.parametrize("argv", [("apply", "--op", "sigma:2"),

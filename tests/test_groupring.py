@@ -1,5 +1,7 @@
 """Group-ring model of the operators and the bridge from arity-1 sums."""
 
+from fractions import Fraction
+
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
@@ -35,6 +37,12 @@ def test_elem_algebra_and_json():
     assert (x - x).is_zero() and not (x - x)
     with pytest.raises(ValueError):
         GroupRingElem({QZ(1, 2): "one"})
+
+
+def test_elem_refuses_keys_that_are_not_qz():
+    for key in (Fraction(1, 2), 1, "1/2"):
+        with pytest.raises(ValueError):
+            GroupRingElem({key: 1})
 
 
 @pytest.mark.parametrize("term", [{"e": 0.1, "c": 2}, {"e": "1/2", "c": 2.7},

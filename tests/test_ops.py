@@ -595,6 +595,26 @@ def test_descent_expands_each_basis_code_once_per_operator(monkeypatch):
     assert expanded and max(expanded.values()) == 1
 
 
+def test_law_expansions_count_integers(monkeypatch):
+    # every law cell expands with integer multiplicities: a rational
+    # factor such as the averaged lift's 1/k^n divides a counted result
+    runs_seen = Counter()
+
+    def checking(runs, count=birmod.ops._count):
+        def each():
+            for c, run in runs:
+                assert type(c) is int, c
+                runs_seen[suite] += 1
+                yield c, run
+        return count(each())
+
+    monkeypatch.setattr(birmod.ops, "_count", checking)
+    for suite, max_n, max_N in (("lemma48", 2, 6), ("ringhom", 1, 4),
+                                ("coalg", 2, 6)):
+        assert check_laws(suite, max_n, max_N, (2, 3)).failures_total == 0
+    assert runs_seen["lemma48"] and runs_seen["ringhom"]
+
+
 def test_law_failure_samples_are_unchanged(monkeypatch):
     # every check fails, so every sample is built; the reports are those
     # the suites gave when they built a sample for every check

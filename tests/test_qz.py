@@ -128,3 +128,14 @@ def test_preimages_are_torsion_translates(a, k):
     pre = preimages(a, k)
     base = pre[0]
     assert set(pre) == {base + t for t in torsion(k)}
+
+
+@hypothesis.given(strat.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                  strat.integers(min_value=-500, max_value=500).filter(bool))
+def test_construction_reduces_mod_one(a, b):
+    # a negative denominator, and any numerator, land in [0, 1) once
+    text = "%d/%d" % (a if b > 0 else -a, abs(b))
+    for got in (QZ(a, b), QZ(Fraction(a, b)), QZ(text)):
+        assert type(got) is QZ
+        assert got == Fraction(a, b) % 1
+        assert 0 <= got.numerator < got.denominator
