@@ -87,6 +87,52 @@ def test_rank_rejects_bad_arity(capsys):
     assert err.startswith("error:")
 
 
+# one rational arity-3 sum with entries of every modulus 2 to 12, zero
+# entries, the all-1/2 symbol and one string coefficient
+APPLY_INPUT = [
+    {"c": 2, "s": ["1/2", "0", "1/3"]},
+    {"c": 1, "s": ["1/3", "2/3", "0"]},
+    {"c": -3, "s": ["1/4", "0", "1/2"]},
+    {"c": 1, "s": ["1/5", "0", "0"]},
+    {"c": -1, "s": ["3/4", "1/6", "0"]},
+    {"c": 1, "s": ["0", "0", "1/7"]},
+    {"c": -4, "s": ["1/8", "3/8", "1/2"]},
+    {"c": 1, "s": ["2/9", "1/3", "0"]},
+    {"c": "1/5", "s": ["2/5", "1/10", "7/10"]},
+    {"c": 2, "s": ["1/11", "5/11", "10/11"]},
+    {"c": 3, "s": ["5/12", "1/12", "11/12"]},
+    {"c": -2, "s": ["1/2", "1/2", "1/2"]},
+]
+
+
+# SHA-256 of whole `apply` outputs on APPLY_INPUT, text and `--json`
+@pytest.mark.parametrize("op, extra, digest", [
+    ("sigma:3", "",
+     "ca68956ac1f5286eea453ec6a00bc8a0d0aae08539a78c67666d9ec631e278ec"),
+    ("sigma:3", "--json",
+     "bbbcd7f48caccb7b4517c51c41f8c9128e94a33c149ad9ba96f9f83266e39950"),
+    ("rho:2", "",
+     "219cd6796035ddebecc5b601d635424710b6abe2b53f1ddee4d0339a0a60ec88"),
+    ("rho:2", "--json",
+     "4e0d20535f287291c31b673fb7b5a7ef86702f7bf68423f2465c3c563420ca6e"),
+    ("rhohat:2", "",
+     "18a2e7a1a0b44d6e55b5a017db7a4302866c80d5c4945e66e855a91d0e4cfc4e"),
+    ("rhohat:2", "--json",
+     "52dc4f854abbb8eea468b9c798e4cf9dd4535760d467ee5eeb8c0f98a5cd7283"),
+    ("ek:2", "",
+     "730cc08058e65e93890de42127ee4f58d5198694b7e77f1d2b5d9389c065928b"),
+    ("ek:2", "--json",
+     "6bd4010e7dafd87d3de45f5f475d01bf3cb15004adcc15f866820dceaac1d6f4"),
+], ids=["sigma-text", "sigma-json", "rho-text", "rho-json", "rhohat-text",
+        "rhohat-json", "ek-text", "ek-json"])
+def test_apply_output_is_frozen(tmp_path, capsys, op, extra, digest):
+    inp = write(tmp_path, "x.json", APPLY_INPUT)
+    code, out, _ = run(capsys, "apply", "--op", op, "--input", inp,
+                       *extra.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_apply_text_and_out_file(tmp_path, capsys):
     inp = write(tmp_path, "x.json", [{"c": 1, "s": ["1/3"]}])
     code, out, _ = run(capsys, "apply", "--op", "rho:2", "--input", inp)
