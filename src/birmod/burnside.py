@@ -121,6 +121,13 @@ class Model:
                                    Stratum(lab, self.dim - 1))
 
 
+def _string(value, what):
+    """A label or name read from JSON: a string, never coerced to one."""
+    if not isinstance(value, str):
+        raise ValueError("%s must be a string, not %r" % (what, value))
+    return value
+
+
 def dim_from_json(value):
     """A dimension read from JSON: an int, never a bool or a float."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -138,16 +145,21 @@ def model_from_json(data):
     if not (isinstance(raw, dict)
             and all(isinstance(st, dict) for st in raw.values())):
         raise ValueError("model strata must be an object of objects")
-    labels = list(data["labels"])
+    labels = [_string(lab, "a label") for lab in data["labels"]]
     dim = dim_from_json(data["dim"])
     strata = {}
     for key, st in raw.items():
-        idx = frozenset(int(p) for p in str(key).split(","))
+        parts = [int(p) for p in str(key).split(",")]
+        idx = frozenset(parts)
+        if len(idx) < len(parts) or idx in strata:
+            raise ValueError("stratum %r repeats an index or an index set"
+                             % key)
         d = dim_from_json(st["dim"]) if "dim" in st else dim - len(idx)
-        strata[idx] = Stratum(str(st["name"]), d)
-    return Model(dim=dim, labels=labels, strata=strata,
-                 name=str(data.get("name", "X")),
-                 boundary_target=data.get("boundary"))
+        strata[idx] = Stratum(_string(st["name"], "a stratum name"), d)
+    name = _string(data.get("name", "X"), "the model name")
+    return Model(dim=dim, labels=labels, strata=strata, name=name,
+                 boundary_target=_string(data.get("boundary", name),
+                                         "the boundary target"))
 
 
 def edges_from_json(data):
@@ -155,7 +167,8 @@ def edges_from_json(data):
     if not isinstance(data, dict):
         raise ValueError("an edge map must be a JSON object")
     return {label: None if g is None else BurnGen(
-                *parse_composite(str(g["source"])), str(g["target"]),
+                *parse_composite(_string(g["source"], "an edge source")),
+                _string(g["target"], "an edge target"),
                 dim_from_json(g["dim"]))
             for label, g in data.items()}
 
@@ -203,7 +216,8 @@ class RewriteRules:
         if not (isinstance(data, list)
                 and all(isinstance(item, dict) for item in data)):
             raise ValueError("rewrite rules must be an array of objects")
-        return cls([(item["from"], item["to"]) for item in data])
+        return cls([(_string(item["from"], "a rule source"),
+                     _string(item["to"], "a rule target")) for item in data])
 
     def apply(self, label):
         while label in self.rules:

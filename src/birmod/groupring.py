@@ -69,4 +69,5 @@ def bridge(fs):
         raise ValueError("bridge is defined on integer sums")
     if fs.terms and fs.arity != 1:
         raise ValueError("bridge is defined on arity-1 sums")
-    return GroupRingElem((s[0], int(c)) for s, c in fs.terms.items())
+    return GroupRingElem((QZ(t[0], M), int(c))
+                         for (M, t), c in fs.terms.items())

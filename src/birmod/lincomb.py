@@ -9,6 +9,14 @@ its own ``items``, ``__repr__`` and ``to_json``.
 from itertools import chain
 
 
+def _collect(pairs):
+    """{key: summed coefficient} over the pairs, zero sums dropped."""
+    clean = {}
+    for k, c in pairs:
+        clean[k] = clean.get(k, 0) + c
+    return {k: c for k, c in clean.items() if c}
+
+
 class LinComb:
     """Built, as a dict is, from a mapping or from (key, coefficient)
     pairs; coefficients of equal keys add and zero terms are dropped.
@@ -18,14 +26,11 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
         pairs = terms.items() if hasattr(terms, "items") else terms or ()
-        for k, c in self._pairs(pairs):
-            clean[k] = clean.get(k, 0) + c
-        self.terms = {k: c for k, c in clean.items() if c}
+        self.terms = _collect(self._pairs(pairs))
 
     def _pairs(self, pairs):
-        """The pairs as they enter the sum; raise ValueError on a bad one."""
+        """The pairs as they enter the sum; raise on a bad one."""
         return pairs
 
     def _like(self, pairs):

@@ -19,12 +19,11 @@ are genuine, reported as information and never asserted away.
 Operators act on the level codec of ``symbols``: scaling by k is k*i
 mod L, the lift by k spreads i over i/k + j*L/k, the torsion shift adds
 multiples of L/k, and the coproduct scales its legs and takes the signed
-form of the right one on codes.  Each public operator codes at the least
-level its output needs and decodes once.  Each law cell codes at one
-level that holds both sides of every law it checks, compares plain dicts
-and decodes only the rows it reports.  Those rows, and the components a
-descent check reports, are written by ``FormalSum.to_json`` like every
-other sum.
+form of the right one on codes.  Each public operator codes its input
+at the least level its output needs, and ``symbols._wrap`` takes the
+result back to canonical codes; no symbol is decoded.  Each law cell
+codes at one level that holds both sides of every law it checks,
+compares plain dicts and decodes only the rows it reports.
 
 The lift acts entry by entry, so a lifted symbol is the product over
 positions of per-entry multisets.  Where both sides of a law are such
@@ -38,10 +37,11 @@ differs, both sides are expanded in full and compared sorted by
 ``_same``, so every verdict, count and sample is the one the full
 expansion gives.
 
-A descent check relies on the operators being linear.  It expands, sorts
-and splits by modulus the image of each basis symbol once per (k,
-operator), and sums those images into the image of each relation row.  A
-component that cancels is dropped, and its target matrix is not built.
+A descent check relies on the operators being linear.  It expands the
+image of each basis symbol once per (k, operator), into canonical codes,
+and sums those images into the image of each relation row, which it
+splits by modulus.  A component that cancels is dropped, and its target
+matrix is not built.
 A target of full rank answers each span query without elimination.
 
 One helper, ``_count``, sums every expansion by one rule: it counts each
@@ -50,9 +50,8 @@ runs in C), adds them in times the run's coefficient and drops zeros.
 Multiplicities are integers; the averaged lift's 1/k^n divides a counted
 result.  Combinations keep each entry at its position: the operators act
 entry by entry, so they commute with permuting positions, and
-``symbols._sym`` sorts a result once, where it is decoded or printed.
-Law cells compare ordered sides with ``_same``; the coproduct keys its
-output canonically.
+``symbols._wrap`` sorts a result once.  Law cells compare ordered sides
+with ``_same``; the coproduct keys its output canonically.
 """
 
 from collections import Counter, defaultdict
@@ -62,9 +61,9 @@ from itertools import combinations, product, starmap
 from math import comb, gcd, lcm
 from operator import add
 
-from .symbols import (FormalSum, enumerate_symbols, relation_matrix,
-                      TWO_TORSION, _dec, _enc, _level, _minus_rep, _raw_of,
-                      _sym, _wrap)
+from .symbols import (enumerate_symbols, relation_matrix, TWO_TORSION,
+                      _coded, _dec, _enc, _level, _minus_rep, _raw_of, _sym,
+                      _wrap)
 
 MAX_STORED_FAILURES = 50
 # the lift, the torsion shift and the product (through the lift of its
@@ -178,7 +177,7 @@ def nabla_op(ell, x, y, strict=True):
     """
     if not isinstance(ell, int) or ell < 2:
         raise ValueError("product level must be an integer >= 2")
-    if strict and any(ell % a.order for sy in y.terms for a in sy):
+    if strict and ell % _level(y):
         raise ValueError("entry order does not divide the level")
     # each lifted term of x meets every term of y; with y zero the lift of
     # x is still expanded
@@ -264,10 +263,10 @@ def delta_op(x):
 def split_by_modulus(fs):
     """Split a formal sum into its exact-modulus components."""
     parts = {}
-    for s, c in fs.terms.items():
-        parts.setdefault(s.modulus, {})[s] = c
-    return {m: FormalSum(t, fs.arity, fs.rational)
-            for m, t in sorted(parts.items())}
+    for (M, t), c in fs.terms.items():
+        parts.setdefault(M, {})[M, t] = c
+    return {M: _coded(part.items(), fs.arity, fs.rational)
+            for M, part in sorted(parts.items())}
 
 
 # law verification
@@ -556,17 +555,6 @@ def check_laws(suite, max_n, max_N, ks):
     return OperatorReport(suite, grid, laws, info)
 
 
-def _by_modulus(sums, L):
-    """Sort coded tuples at level L and split them into exact-modulus
-    components, each recoded to its modulus; the all-zero tuple has none."""
-    parts = {}
-    for t, c in _sym(sums).items():
-        g = gcd(L, *t)
-        if g < L:
-            parts.setdefault(L // g, {})[tuple(x // g for x in t)] = c
-    return parts
-
-
 def descent_failures(n, N, minus, ks):
     """Relation vectors whose operator images leave the relation span.
 
@@ -576,15 +564,15 @@ def descent_failures(n, N, minus, ks):
     the target module.  The operators are linear, so a row's image is
     the sum of its coefficients times the images of its basis symbols.
     Each basis symbol is expanded once per (k, operator), on first use:
-    on its code at the level the public operator would pick, sorted, and
-    split into components recoded to their moduli.  A component that
-    cancels in the sum is dropped, and no target matrix is built for it.
+    on its code at the level the public operator would pick, into
+    canonical codes.  A component that cancels in the sum is dropped, and
+    no target matrix is built for it.
     """
     for k in ks:
         _check_k(k)
     mats = {}
     src = mats[N] = relation_matrix(n, N, minus)
-    images = {}  # (k, operator) -> basis column -> components of its image
+    images = {}  # (k, operator) -> basis column -> its image
     fails = []
     for i, r in enumerate(src.mat.rows):
         for k in ks:
@@ -596,11 +584,10 @@ def descent_failures(n, N, minus, ks):
                 for j, c in r.items():
                     if j not in cache:
                         code = tuple(L // N * x for x in src.codes[j])
-                        cache[j] = _by_modulus(op(k, L, {code: 1}), L)
-                    for M, comp in cache[j].items():
+                        cache[j] = _wrap(op(k, L, {code: 1}), L, n, False)
+                    for (M, t), x in cache[j].terms.items():
                         part = parts.setdefault(M, {})
-                        for t, x in comp.items():
-                            part[t] = part.get(t, 0) + c * x
+                        part[t] = part.get(t, 0) + c * x
                 for M, part in sorted(parts.items()):
                     comp = {t: x for t, x in part.items() if x}
                     if not comp:

@@ -8,27 +8,27 @@ the others) and, for the signed quotient, entrywise negation with a sign.
 Relation matrices are produced over the deterministic symbol enumeration
 so their ranks and Smith forms describe the quotient modules exactly.
 
-Internally a symbol is coded at a level L, a positive integer that every
-entry denominator divides: the entry a/d becomes the int a*L/d in
-[0, L).  The code is monotone, so a sorted symbol codes to a sorted int
-tuple and decodes without re-sorting; the coded tuple t has modulus
-L // gcd(L, *t).  Enumeration, relation rows, the signed form and ``ops``
-work on codes.  A relation matrix writes each relation row once, on the
-basis columns, and holds only the coded basis and those sparse rows;
-``basis`` and ``rows`` (``relation_rows``) decode each symbol once, on
-request.  The operators in ``ops`` keep each entry at its position, so
-their coded tuples come in any order; ``_sym`` sorts them and adds equal
-ones once, where a result is decoded and handed out.
+A symbol is coded at a level L, a positive integer that every entry
+denominator divides: the entry a/d becomes the int a*L/d in [0, L).  The
+code is monotone, so a sorted symbol codes to a sorted int tuple; the
+coded tuple t has modulus L // gcd(L, *t).  A symbol is held as its
+canonical code (M, t), its sorted entries coded at its modulus M: the
+key of a ``FormalSum`` term and, at M = N, of a relation matrix column.
+The operators in ``ops`` act at one level and keep each entry at its
+position; ``_by_modulus`` sorts their tuples into canonical codes.
+``Symbol`` and ``QZ`` values are built only from parsed input and for
+the public view (``items``, ``basis``, ``enumerate_symbols``,
+``minus_canonicalize``, coproduct legs, law and descent samples);
+``to_json`` and ``repr`` print each entry from its code.
 """
 
 import re
-from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from .linalg import SparseMat, rank_q, snf
-from .lincomb import LinComb
+from .lincomb import LinComb, _collect
 from .qz import QZ
 
 TWO_TORSION = 0  # sign value returned for classes with 2*S = 0 in the signed quotient
@@ -128,10 +128,19 @@ def enumerate_symbols(n, N):
     return [_dec(t, N) for t in _coded_symbols(n, N)]
 
 
+def _coefficient(c):
+    """A coefficient as a Fraction; floats and bools are refused, as in QZ."""
+    if isinstance(c, (float, bool)):
+        raise TypeError("formal sum coefficients must be exact rationals, "
+                        "got %r" % (c,))
+    return Fraction(c)
+
+
 class FormalSum(LinComb):
     """A finite linear combination of symbols of one arity.
 
-    Coefficients are exact rationals internally; the ``rational`` flag
+    Terms are keyed by canonical code (M, t), and ``items`` hands out the
+    symbols.  Coefficients are exact rationals; the ``rational`` flag
     records whether the sum lives over Q (required by the averaged lift
     operator) or over Z (every coefficient integral).  Keys naming the
     same symbol (in any entry order) add up.
@@ -146,7 +155,7 @@ class FormalSum(LinComb):
 
     def _pairs(self, pairs):
         for s, c in pairs:
-            c = Fraction(c)
+            c = _coefficient(c)
             if not c:
                 continue
             if not isinstance(s, Symbol):
@@ -156,10 +165,11 @@ class FormalSum(LinComb):
             self.arity = len(s)
             if not self.rational and c.denominator != 1:
                 raise ValueError("non-integral coefficient in integer mode")
-            yield s, c
+            M = s.modulus
+            yield (M, _enc(s, M)), c
 
     def _like(self, pairs):
-        return FormalSum(pairs, self.arity, self.rational)
+        return _coded(pairs, self.arity, self.rational)
 
     @classmethod
     def of(cls, symbol, coeff=1, rational=False):
@@ -167,37 +177,36 @@ class FormalSum(LinComb):
         return cls({symbol: coeff}, len(symbol), rational)
 
     def items(self):
-        """Terms sorted by symbol, through the monotone code at one level."""
-        L = _level(self)
-        return sorted(self.terms.items(), key=lambda sc: _enc(sc[0], L))
+        """(symbol, coefficient) pairs, sorted by symbol."""
+        return [(_dec(t, M), c) for (M, t), c in _ordered(self)]
 
     def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return FormalSum(chain(self.terms.items(), other.terms.items()),
-                         self.arity or other.arity,
-                         self.rational or other.rational)
+        arity = self.arity or other.arity
+        if other.terms and other.arity != arity:
+            raise ValueError("mixed arities in formal sum")
+        return _coded(chain(self.terms.items(), other.terms.items()), arity,
+                      self.rational or other.rational)
 
     def scale(self, c):
-        c = Fraction(c)
-        rational = self.rational or c.denominator != 1
-        return FormalSum({s: v * c for s, v in self.terms.items()},
-                         self.arity, rational)
+        c = _coefficient(c)
+        return _coded(((key, v * c) for key, v in self.terms.items()),
+                      self.arity, self.rational or c.denominator != 1)
 
     def to_rational(self):
-        return FormalSum(self.terms, self.arity, True)
+        return _coded(self.terms.items(), self.arity, True)
 
     def to_json(self):
-        out = []
-        for s, c in self.items():
-            coeff = str(c) if self.rational else int(c)
-            out.append({"c": coeff, "s": s.to_json()})
-        return out
+        return [{"c": str(c) if self.rational else int(c),
+                 "s": [_entry(i, M) for i in t]}
+                for (M, t), c in _ordered(self)]
 
     def __repr__(self):
         if not self.terms:
             return "FormalSum(0)"
-        return " + ".join("%s*%r" % (c, s) for s, c in self.items())
+        return " + ".join("%s*<%s>" % (c, ", ".join(_entry(i, M) for i in t))
+                          for (M, t), c in _ordered(self))
 
 
 def sum_from_json(data):
@@ -214,9 +223,23 @@ def sum_from_json(data):
 
 # level codec: dicts {coded entry tuple: coefficient}
 
+def _coded(pairs, arity, rational):
+    """A formal sum of (canonical code, coefficient) pairs."""
+    fs = FormalSum(None, arity, rational)
+    fs.terms = _collect(pairs)
+    return fs
+
+
+def _ordered(fs):
+    """The terms of fs sorted by symbol: by their codes at one level."""
+    L = _level(fs)
+    return sorted(fs.terms.items(),
+                  key=lambda kc: [i * (L // kc[0][0]) for i in kc[0][1]])
+
+
 def _level(*sums):
     """lcm of the symbol moduli, the least level holding every entry."""
-    return lcm(*[s.modulus for x in sums for s in x.terms])
+    return lcm(*[M for x in sums for M, _ in x.terms])
 
 
 def _enc(s, L):
@@ -227,26 +250,35 @@ def _dec(t, L):
     return Symbol(QZ(i, L) for i in t)
 
 
+def _entry(i, L):
+    """``str(QZ(i, L))``, written without building the QZ."""
+    g = gcd(i, L)
+    return "%d/%d" % (i // g, L // g) if i else "0"
+
+
 def _raw_of(fs, L):
-    return {_enc(s, L): c for s, c in fs.terms.items()}
+    return {tuple([i * (L // M) for i in t]): c
+            for (M, t), c in fs.terms.items()}
 
 
 def _sym(sums):
     """Sort each coded tuple, add equal ones and drop zeros."""
-    out = defaultdict(int)
+    return _collect((tuple(sorted(t)), c) for t, c in sums.items())
+
+
+def _by_modulus(sums, L):
+    """(canonical code, coefficient) of each tuple coded at level L, in
+    any entry order; the all-zero tuple, which has no modulus, is dropped.
+    """
     for t, c in sums.items():
-        out[tuple(sorted(t))] += c
-    return {t: c for t, c in out.items() if c}
+        g = gcd(L, *t)
+        if g < L:
+            yield (L // g, tuple(sorted([x // g for x in t]))), c
 
 
 def _wrap(sums, L, arity, rational):
-    """Decode to a formal sum, dropping the all-zero tuple.
-
-    The coded tuples may come in any entry order: they are sorted once
-    here, before decoding, so each symbol is decoded once.
-    """
-    return FormalSum(((_dec(t, L), c) for t, c in _sym(sums).items()
-                      if any(t)), arity, rational)
+    """A formal sum of tuples coded at level L."""
+    return _coded(_by_modulus(sums, L), arity, rational)
 
 
 def _blowup_row(t, L, positions):
@@ -333,18 +365,19 @@ class RelationMatrix:
     @property
     def rows(self):
         """The relation rows as formal sums, in matrix row order."""
-        basis = self.basis
-        return [FormalSum({basis[i]: c for i, c in r.items()}, self.n)
+        N, codes = self.N, self.codes
+        return [_coded((((N, codes[i]), c) for i, c in r.items()), self.n,
+                       False)
                 for r in self.mat.rows]
 
     def vectorize(self, fs):
         """Coordinates of a formal sum over the basis; None if it leaves it."""
         vec = {}
-        for s, c in fs.terms.items():
-            t = _enc(s, self.N) if s.modulus == self.N else None
-            if t not in self.index:
+        for (M, t), c in fs.terms.items():
+            i = self.index.get(t) if M == self.N else None
+            if i is None:
                 return None
-            vec[self.index[t]] = c
+            vec[i] = c
         return vec
 
     def contains(self, fs):
@@ -393,8 +426,9 @@ def minus_reduce(fs):
     """Rewrite a sum over least signed representatives, over Q semantics.
 
     Two-torsion classes collapse to zero; use only where rational
-    coefficients are in play.
+    coefficients are in play.  A representative keeps its symbol's
+    modulus.
     """
-    signed = ((minus_canonicalize(s), c) for s, c in fs.terms.items())
-    return FormalSum(((rep, sign * c) for (rep, sign), c in signed
-                      if sign != TWO_TORSION), fs.arity, fs.rational)
+    signed = ((M, _minus_rep(t, M), c) for (M, t), c in fs.terms.items())
+    return fs._like(((M, rep), sign * c) for M, (rep, sign), c in signed
+                    if sign != TWO_TORSION)

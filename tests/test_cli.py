@@ -9,6 +9,7 @@ import pytest
 import birmod.symbols
 from birmod.cli import main
 from birmod.ops import descent_failures
+from birmod.qz import QZ
 from birmod.symbols import FormalSum
 
 
@@ -131,6 +132,28 @@ def test_apply_output_is_frozen(tmp_path, capsys, op, extra, digest):
                        *extra.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_apply_builds_qz_only_while_parsing(tmp_path, capsys, monkeypatch):
+    # operators and output work on codes, so the only QZ values made are
+    # the parsed entries
+    made = []
+    new = QZ.__new__
+
+    def counting(cls, *args):
+        made.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(QZ, "__new__", counting)
+    inp = write(tmp_path, "x.json", APPLY_INPUT)
+    entries = sum(len(item["s"]) for item in APPLY_INPUT)
+    for op in ("sigma:3", "rho:2", "rhohat:2", "ek:2"):
+        for extra in ((), ("--json",)):
+            made.clear()
+            code, out, _ = run(capsys, "apply", "--op", op, "--input", inp,
+                               *extra)
+            assert code == 0 and out
+            assert len(made) == entries
 
 
 def test_apply_text_and_out_file(tmp_path, capsys):
@@ -380,6 +403,42 @@ def test_burnside_rejects_malformed_shapes(tmp_path, capsys, mode, docs):
     code, out, err = run(capsys, "burnside", mode, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_TWO = {"dim": 2, "labels": ["D", "E"],
+        "strata": {"1,2": {"name": "C", "dim": 0}}}
+_EDGE = {"source": "p", "target": "Y", "dim": 0}
+
+
+@pytest.mark.parametrize("mode, docs, what", [
+    ("boundary", {"model": {**_TWO, "name": None}}, "model name"),
+    ("boundary", {"model": {**_TWO, "boundary": 5}}, "boundary target"),
+    ("boundary", {"model": {**_TWO, "labels": [1, 2]}}, "label"),
+    ("boundary", {"model": {**_TWO, "strata": {"1,2": {"name": 7}}}},
+     "stratum name"),
+    ("boundary", {"model": _TWO, "rules": [{"from": 5, "to": "F"}]},
+     "rule source"),
+    ("boundary", {"model": _TWO, "rules": [{"from": "D", "to": None}]},
+     "rule target"),
+    ("tower", {"big": _MODEL, "small": _SMALL,
+               "edges": {"D": {**_EDGE, "source": 5}}}, "edge source"),
+    ("tower", {"big": _MODEL, "small": _SMALL,
+               "edges": {"D": {**_EDGE, "target": ["Y"]}}}, "edge target"),
+    ("boundary", {"model": {**_TWO, "strata": {
+        "1,2": {"name": "C"}, "2,1": {"name": "K"}}}}, "index set"),
+    ("boundary", {"model": {"dim": 3, "labels": ["D", "E"], "strata": {
+        "1,1,2": {"name": "C"}}}}, "repeats an index"),
+])
+def test_burnside_refuses_non_string_names_and_repeated_strata(
+        tmp_path, capsys, mode, docs, what):
+    # each was once coerced by str() or passed through as given, and a
+    # repeated index set silently kept its last stratum
+    argv = []
+    for flag, doc in docs.items():
+        argv += ["--" + flag, write(tmp_path, flag + ".json", doc)]
+    code, out, err = run(capsys, "burnside", mode, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and what in err
 
 
 def test_burnside_pushforward_with_rules(tmp_path, capsys):

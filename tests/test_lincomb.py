@@ -19,8 +19,14 @@ def qz_values(max_den=8):
 ints = strat.integers(min_value=-3, max_value=3)
 fractions = strat.builds(Fraction, ints, strat.integers(min_value=1,
                                                         max_value=4))
-symbols = strat.lists(qz_values(), min_size=2, max_size=2).map(
-    canonicalize)
+# one arity per example, so that the keys of a sum agree; entries take
+# 0, so zero entries and the all-zero symbol <0> (modulus 1) occur
+arity = strat.shared(strat.integers(min_value=1, max_value=3), key="arity")
+entries = strat.integers(min_value=1, max_value=8).flatmap(
+    lambda q: strat.integers(min_value=0, max_value=q - 1).map(
+        lambda p: QZ(p, q)))
+symbols = arity.flatmap(
+    lambda n: strat.lists(entries, min_size=n, max_size=n)).map(canonicalize)
 gens = strat.builds(BurnGen, strat.sampled_from(["D", "E", "pt"]),
                     strat.integers(min_value=0, max_value=2),
                     strat.sampled_from(["X", "Y"]),

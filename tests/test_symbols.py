@@ -101,10 +101,28 @@ def test_formal_sum_modes():
     with pytest.raises(ValueError):
         FormalSum({S("1/2"): Fraction(1, 2)})
     ok = FormalSum({S("1/2"): Fraction(1, 2)}, rational=True)
-    assert ok.terms[S("1/2")] == Fraction(1, 2)
+    assert dict(ok.items())[S("1/2")] == Fraction(1, 2)
     with pytest.raises(ValueError):
         FormalSum({S("1/2"): 1, S("1/2", "1/3"): 1})
     assert (ok - ok).is_zero()
+
+
+def test_formal_sum_refuses_float_and_bool_coefficients():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    for c in (0.1, 2.0, True):
+        with pytest.raises(TypeError):
+            FormalSum({S("1/2"): c}, rational=True)
+        with pytest.raises(TypeError):
+            FormalSum.of(S("1/2")).scale(c)
+    assert FormalSum.of(S("1/2")).scale(Fraction(1, 10)).rational
+
+
+def test_sums_whose_codes_agree_at_different_moduli_differ():
+    # each pair codes to the same sorted entries, (1,) or (1, 1), at
+    # moduli 2 and 3
+    for a, b in ((["1/2"], ["1/3"]), (["1/2", "1/2"], ["1/3", "1/3"])):
+        x, y = FormalSum.of(a), FormalSum.of(b)
+        assert x != y and not (x - y).is_zero()
 
 
 def test_formal_sum_adds_keys_naming_one_symbol():
@@ -130,8 +148,8 @@ def test_formal_sum_adds_keys_naming_one_symbol():
         min_size=1, max_size=10)))
 def test_items_sorted_by_code_is_the_symbol_order(terms):
     fs = FormalSum(terms)
-    assert [s for s, _ in fs.items()] == sorted(fs.terms)
-    assert dict(fs.items()) == fs.terms
+    assert [s for s, _ in fs.items()] == sorted(terms)
+    assert dict(fs.items()) == terms
 
 
 def test_blowup_examples():
@@ -223,7 +241,7 @@ def test_relation_rows_match_qz_reference(minus):
     for n in range(1, 4):
         for N in range(2, 9):
             basis, rows = reference_relations(n, N, minus)
-            assert [r.terms for r in relation_rows(n, N, minus)] == rows
+            assert [dict(r.items()) for r in relation_rows(n, N, minus)] == rows
             m = RelationMatrix(n, N, minus)
             assert m.basis == basis
             col = {s: i for i, s in enumerate(basis)}
