@@ -17,8 +17,8 @@ key of a ``FormalSum`` term and, at M = N, of a relation matrix column.
 The operators in ``ops`` act at one level and keep each entry at its
 position; ``_by_modulus`` sorts their tuples into canonical codes.
 ``Symbol`` and ``QZ`` values are built only from parsed input and for
-the public view (``items``, ``basis``, ``enumerate_symbols``,
-``minus_canonicalize``, coproduct legs, law and descent samples);
+the public view (``items``, ``basis``, ``enumerate_symbols``, which the
+law cells walk, ``minus_canonicalize`` and the coproduct legs);
 ``to_json`` and ``repr`` print each entry from its code.
 """
 
