@@ -173,6 +173,14 @@ def edges_from_json(data):
             for label, g in data.items()}
 
 
+def _relabel_from_json(data):
+    """Read a target relabeling: an object from labels to labels."""
+    if not isinstance(data, dict):
+        raise ValueError("a target relabeling must be a JSON object")
+    return {label: _string(target, "a relabeled target")
+            for label, target in data.items()}
+
+
 def boundary_snc(model, target=None):
     """Signed sum of stratum-times-affine classes over the target label."""
     if target is None:

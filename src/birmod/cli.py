@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .burnside import (boundary_snc, check_grading, edges_from_json,
                        model_from_json, pushforward, RewriteRules,
-                       tower_boundary_check)
+                       tower_boundary_check, _relabel_from_json)
 from .diagram import (build_equivariant_diagram, build_pairs_diagram,
                       CatPresentation, check_poset_in_groupoids, quotient_T)
 from .ops import check_laws, e_op, rho_hat_op, rho_op, sigma_op
@@ -128,7 +128,8 @@ def cmd_burnside(args):
     if args.mode == "pushforward":
         model = model_from_json(_read_json(args.model))
         elem = boundary_snc(model)
-        res = pushforward(elem, _read_json(args.map), _load_rules(args.rules))
+        res = pushforward(elem, _relabel_from_json(_read_json(args.map)),
+                          _load_rules(args.rules))
         if args.json:
             _emit_json({"model": model.name, "pushforward": res.to_json()})
         else:

@@ -22,19 +22,19 @@ multiples of L/k, and the coproduct scales its legs and takes the signed
 form of the right one on codes.  Each public operator codes its input
 at the least level its output needs, and ``symbols._wrap`` takes the
 result back to canonical codes; no symbol is decoded.  Each law cell
-codes at one level that holds both sides of every law it checks,
-compares plain dicts and decodes only the rows it reports.
+walks the symbol codes of its cell at one level that holds both sides of
+every law it checks, compares plain dicts and writes entries from codes
+(``symbols._entry``) only for the rows it reports.
 
-The lift acts entry by entry, so a lifted symbol is the product over
-positions of per-entry multisets.  Where both sides of a law are such
-products with the same positive mass at each position (k*l lifted codes
-per entry for ``lift_multiplicative`` and, at the x positions, for
-``lift_product_hom``), the sides are equal exactly when the factors are
-equal at every position: a side's marginal at one position is its factor
-there times the other factors' masses.  Those two laws are decided from
-per-entry lifts, memoised by entry code for the cell.  Where some position
-differs, both sides are expanded in full and compared sorted by
-``_same``, so every verdict, count and sample is the one the full
+Scaling, the lift and the torsion shift act entry by entry, so both
+sides of each lemma48 law, and of ``lift_product_hom`` at the x
+positions, are products over positions of per-entry sums, with the same
+positive mass at each position.  Such sides are equal exactly when their
+factors are equal at every position (a side's marginal at one position
+is its factor there times the other factors' masses), so these laws are
+decided from per-entry sides, memoised by entry code for the cell.  Only
+where some position differs are both sides expanded in full and compared
+sorted by ``_same``: every verdict, count and sample is the one the full
 expansion gives.
 
 A descent check relies on the operators being linear.  It expands the
@@ -61,9 +61,8 @@ from itertools import combinations, product, starmap
 from math import comb, gcd, lcm
 from operator import add
 
-from .symbols import (enumerate_symbols, relation_matrix, TWO_TORSION,
-                      _coded, _dec, _enc, _level, _minus_rep, _raw_of, _sym,
-                      _wrap)
+from .symbols import (relation_matrix, TWO_TORSION, _coded, _coded_symbols,
+                      _dec, _entry, _level, _minus_rep, _raw_of, _sym, _wrap)
 
 MAX_STORED_FAILURES = 50
 # the lift, the torsion shift and the product (through the lift of its
@@ -72,10 +71,10 @@ MAX_STORED_FAILURES = 50
 # took 4.8 s and 123 MB peak RSS on a 2-core Xeon host)
 MAX_TUPLES = 10 ** 5
 # a law grid's symbols times their largest expansions, which bounds the
-# worst case: a failing lift_multiplicative or lift_product_hom check
-# expands both sides in full, a passing one compares per-entry lifts.
-# When every law holds, a grid at the budget runs about 2.5-7 s (lemma48),
-# 2 s (ringhom) or 90 s (coalg) on that host; in full, 15-22 s and 15 s
+# worst case, where every check expands both sides in full.  On that host
+# grids at the budget (ks 2,3, arity 2-4) ran 0.1-3.1 s (lemma48) and
+# 0.1-1.2 s (ringhom) when every law held, 12-43 s and 7-24 s in full;
+# coalg ran 90 s, and lemma48 at arity 1 (max_N 1490) 169 s
 MAX_GRID_TUPLES = 10 ** 7
 
 
@@ -327,11 +326,10 @@ def _same(a, b):
 def _by_position(memo, t, lhs, rhs):
     """Are the factors lhs(e) and rhs(e) equal at every entry of t?
 
-    Each maps a one-entry sum e to its expansion, with the same positive
-    mass on both sides, so this is whether the two ordered entrywise
-    products over t are equal.  Verdicts are memoised by entry code.
-    False refutes nothing: a law compares sorted sides, so the caller then
-    expands both in full for ``_same``.
+    Each maps a one-entry sum e to its expansion, so this is whether the
+    two ordered entrywise products over t are equal; verdicts are memoised
+    by entry code.  False refutes nothing: a law compares sorted sides, so
+    the caller then expands both in full for ``_same``.
     """
     for i in t:
         ok = memo.get(i)
@@ -343,63 +341,68 @@ def _by_position(memo, t, lhs, rhs):
     return True
 
 
-def _lemma48_cell(laws, info, n, N, ks):
-    """Check the lemma48 laws on every symbol of arity n and modulus N.
+def _symbols_at(n, N, L):
+    """The arity-n symbols of modulus N, coded at level L."""
+    return [tuple([i * (L // N) for i in t]) for t in _coded_symbols(n, N)]
 
-    Both sides of lift_multiplicative lift each entry to k*l codes, so
-    the law is decided position by position (``_by_position``); only a
-    symbol on which some position differs has both sides expanded in
-    full and compared by ``_same``.  The other laws expand at most k^n
-    tuples a side and are compared whole.
-    """
+
+def _tag(n, N, t, L):
+    return {"n": n, "N": N, "symbol": [_entry(i, L) for i in t]}
+
+
+# law -> (indices, lhs, rhs): each side maps k, l, a level L and a coded
+# sum to its expansion, entry by entry.  "kl" checks every (k, l),
+# "coprime" those with gcd(k, l) = 1 and "k" each k alone, at l = None.
+_LEMMA48 = {
+    "scale_multiplicative": (
+        "kl", lambda k, l, L, s: _raw_sigma(k, L, _raw_sigma(l, L, s)),
+        lambda k, l, L, s: _raw_sigma(k * l, L, s)),
+    "lift_multiplicative": (
+        "kl", lambda k, l, L, s: _raw_rho(k, L, _raw_rho(l, L, s)),
+        lambda k, l, L, s: _raw_rho(k * l, L, s)),
+    "scale_lift_commute": (
+        "coprime", lambda k, l, L, s: _raw_sigma(k, L, _raw_rho(l, L, s)),
+        lambda k, l, L, s: _raw_rho(l, L, _raw_sigma(k, L, s))),
+    "lift_scale_torsion_shift": (
+        "k", lambda k, l, L, s: _raw_rho(k, L, _raw_sigma(k, L, s)),
+        lambda k, l, L, s: _raw_e(k, L, s)),
+    "scale_lift_scalar": (
+        "k", lambda k, l, L, s: _raw_sigma(k, L, _raw_rho(k, L, s)),
+        lambda k, l, L, s: {u: c * k ** len(u) for u, c in s.items()}),
+    "averaged_lift_section": (
+        # as in rho_hat_op, 1/k^arity divides the counted lift
+        "k", lambda k, l, L, s: {u: Fraction(c, k ** len(u)) for u, c in
+                                 _raw_sigma(k, L, _raw_rho(k, L, s)).items()},
+        lambda k, l, L, s: s),
+}
+
+
+def _lemma48_cell(laws, info, n, N, ks):
+    """Check the lemma48 laws on every symbol of arity n and modulus N,
+    each position by position (``_by_position``) and in full by ``_same``
+    only on a symbol where some position differs."""
     # two stacked lifts by k and l reach denominators N*k*l, which divide L
     L = N * lcm(*ks) ** 2
-    memo = {}  # (k, l) -> entry code -> lift_multiplicative verdict
-    for sym in enumerate_symbols(n, N):
-        t = _enc(sym, L)
+    pairs = {"kl": list(product(ks, ks)), "k": [(k, None) for k in ks]}
+    pairs["coprime"] = [(k, l) for k, l in pairs["kl"] if gcd(k, l) == 1]
+    memo = {}  # (law, k, l) -> entry code -> verdict
+    for t in _symbols_at(n, N, L):
         x = {t: 1}
-        tag = {"n": n, "N": N, "symbol": sym.to_json()}
-        sig = {k: _raw_sigma(k, L, x) for k in ks}
-        rho = {k: _raw_rho(k, L, x) for k in ks}
-        for k in ks:
-            for l in ks:
-                lhs = _raw_sigma(k, L, sig[l])
-                rhs = _raw_sigma(k * l, L, x)
-                laws["scale_multiplicative"].record(
-                    _same(lhs, rhs), lambda: {**tag, "k": k, "l": l})
-                ok = _by_position(memo.setdefault((k, l), {}), t,
-                                  lambda e: _raw_rho(k, L, _raw_rho(l, L, e)),
-                                  lambda e: _raw_rho(k * l, L, e))
-                laws["lift_multiplicative"].record(
-                    ok or _same(_raw_rho(k, L, rho[l]),
-                                _raw_rho(k * l, L, x)),
-                    lambda: {**tag, "k": k, "l": l})
-                if gcd(k, l) == 1:
-                    lhs = _raw_sigma(k, L, rho[l])
-                    rhs = _raw_rho(l, L, sig[k])
-                    laws["scale_lift_commute"].record(
-                        _same(lhs, rhs), lambda: {**tag, "k": k, "l": l})
-        for k in ks:
-            lhs = _raw_rho(k, L, sig[k])
-            rhs = _raw_e(k, L, x)
-            laws["lift_scale_torsion_shift"].record(
-                _same(lhs, rhs), lambda: {**tag, "k": k})
-            lhs = _raw_sigma(k, L, rho[k])
-            rhs = {t: k ** n}
-            laws["scale_lift_scalar"].record(_same(lhs, rhs),
-                                             lambda: {**tag, "k": k})
-            # expanded anew, not taken from rho[k]; as in rho_hat_op, the
-            # lift counts integers and 1/k^n divides the counted result
-            hat = _raw_sigma(k, L, _raw_rho(k, L, x))
-            hat = {u: Fraction(c, k ** n) for u, c in hat.items()}
-            laws["averaged_lift_section"].record(
-                _same(hat, x), lambda: {**tag, "k": k})
+        for law, (which, lhs, rhs) in _LEMMA48.items():
+            for k, l in pairs[which]:
+                laws[law].record(
+                    _by_position(memo.setdefault((law, k, l), {}), t,
+                                 lambda e: lhs(k, l, L, e),
+                                 lambda e: rhs(k, l, L, e))
+                    or _same(lhs(k, l, L, x), rhs(k, l, L, x)),
+                    lambda: {**_tag(n, N, t, L), "k": k,
+                             **({} if l is None else {"l": l})})
         # the projected composites genuinely deviate on annihilated symbols
         for k in ks:
-            if not _proj(sig[k]):
+            if not any(k * i % L for i in t):
                 # sigma_k annihilates x, so a lift of its projection is 0
                 rows = [({"l": l, "law": "scale_lift_commute"},
-                         _raw_sigma(k, L, _proj(rho[l])), {})
+                         _raw_sigma(k, L, _proj(_raw_rho(l, L, x))), {})
                         for l in ks if gcd(k, l) == 1]
                 rows.append(({"law": "lift_scale_torsion_shift"},
                              {}, _raw_e(k, L, x)))
@@ -407,45 +410,31 @@ def _lemma48_cell(laws, info, n, N, ks):
                     lp, rp = _proj(lp), _proj(rp)
                     if not _same(lp, rp):
                         info.append({
-                            **tag, "k": k, **extra,
+                            **_tag(n, N, t, L), "k": k, **extra,
                             "projected_lhs": _wrap(lp, L, n, False).to_json(),
                             "projected_rhs": _wrap(rp, L, n, False).to_json()})
-
-
-_LEMMA48_LAWS = (
-    "scale_multiplicative",
-    "lift_multiplicative",
-    "scale_lift_commute",
-    "lift_scale_torsion_shift",
-    "scale_lift_scalar",
-    "averaged_lift_section",
-)
 
 
 def _ringhom_cell(law, n1, m1, n2, m2, ks):
     """Check lift_product_hom on every pair of symbols x, y of arities n1,
     n2 and moduli m1, m2.
 
-    Both sides are entrywise products: rho_k(rho_ell x) against
-    rho_ell(rho_k x) at the positions of x, each of mass k*ell, and rho_k y
-    on both sides at the positions of y.  So the verdict rests on the x
-    positions alone (``_by_position``), taken once per (x, ell, k) for all
-    y.  Only where some position differs are both sides of each pair
-    expanded in full and compared by ``_same``.
+    Both sides are rho_k y at the positions of y, so the verdict rests on
+    the x positions alone, rho_k(rho_ell x) against rho_ell(rho_k x),
+    taken once per (x, ell, k) for all y.
     """
     # a lift by k and a product at level ell reach lcm(m1, m2)*k*ell
     L = lcm(m1, m2) * lcm(*ks) ** 2
     memo = {}  # (ell, k) -> entry code -> verdict
-    ys = [(sy, {_enc(sy, L): 1}) for sy in enumerate_symbols(n2, m2)]
-    for sx in enumerate_symbols(n1, m1):
-        t = _enc(sx, L)
-        x = {t: 1}
+    ys = [(t, {t: 1}) for t in _symbols_at(n2, m2, L)]
+    for tx in _symbols_at(n1, m1, L):
+        x = {tx: 1}
         ok = {(ell, k): _by_position(
-                  memo.setdefault((ell, k), {}), t,
+                  memo.setdefault((ell, k), {}), tx,
                   lambda e: _raw_rho(k, L, _raw_rho(ell, L, e)),
                   lambda e: _raw_rho(ell, L, _raw_rho(k, L, e)))
               for ell in ks for k in ks}
-        for sy, y in ys:
+        for ty, y in ys:
             for ell in ks:
                 for k in ks:
                     law.record(
@@ -454,21 +443,22 @@ def _ringhom_cell(law, n1, m1, n2, m2, ks):
                             _concat(_raw_rho(ell, L, _raw_rho(k, L, x)),
                                     _raw_rho(k, L, y))),
                         lambda: {"nx": n1, "mx": m1, "ny": n2, "my": m2,
-                                 "k": k, "l": ell, "x": sx.to_json(),
-                                 "y": sy.to_json()})
+                                 "k": k, "l": ell,
+                                 "x": [_entry(i, L) for i in tx],
+                                 "y": [_entry(i, L) for i in ty]})
 
 
 def _coalg_cell(law, info, n, N, ks):
-    for sym in enumerate_symbols(n, N):
-        x = {_enc(sym, N): 1}
+    for t in _coded_symbols(n, N):
+        x = {t: 1}
         for k in ks:
             lhs = _raw_delta(k, N, x)
             rhs = _raw_delta(1, N, _raw_sigma(k, N, x))
-            tag = {"n": n, "N": N, "k": k, "symbol": sym.to_json()}
             if gcd(k, N) == 1:
-                law.record(lhs == rhs, lambda: tag)
+                law.record(lhs == rhs, lambda: {**_tag(n, N, t, N), "k": k})
             elif lhs != rhs:
-                info.append({**tag, "law": "scale_coproduct_hom",
+                info.append({**_tag(n, N, t, N), "k": k,
+                             "law": "scale_coproduct_hom",
                              "note": "non-coprime instance differs",
                              "lhs": _delta_sum(lhs, N).to_json(),
                              "rhs": _delta_sum(rhs, N).to_json()})
@@ -531,7 +521,7 @@ def check_laws(suite, max_n, max_N, ks):
     cells = list(product(range(1, max_n + 1), range(2, max_N + 1)))
     info_rows = []
     if suite == "lemma48":
-        laws = {name: LawCheck(name) for name in _LEMMA48_LAWS}
+        laws = {name: LawCheck(name) for name in _LEMMA48}
         for n, N in cells:
             _lemma48_cell(laws, info_rows, n, N, ks)
         laws = list(laws.values())

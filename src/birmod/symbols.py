@@ -15,11 +15,11 @@ coded tuple t has modulus L // gcd(L, *t).  A symbol is held as its
 canonical code (M, t), its sorted entries coded at its modulus M: the
 key of a ``FormalSum`` term and, at M = N, of a relation matrix column.
 The operators in ``ops`` act at one level and keep each entry at its
-position; ``_by_modulus`` sorts their tuples into canonical codes.
-``Symbol`` and ``QZ`` values are built only from parsed input and for
-the public view (``items``, ``basis``, ``enumerate_symbols``, which the
-law cells walk, ``minus_canonicalize`` and the coproduct legs);
-``to_json`` and ``repr`` print each entry from its code.
+position; ``_by_modulus`` sorts their tuples into canonical codes, and
+the law cells walk ``_coded_symbols``.  ``Symbol`` and ``QZ`` values are
+built only from parsed input and for the public view (``items``,
+``basis``, ``enumerate_symbols``, ``minus_canonicalize``, coproduct
+legs); ``to_json``, ``repr`` and ``_entry`` print entries from codes.
 """
 
 import re

@@ -333,24 +333,27 @@ def test_laws_json_deterministic(capsys):
 
 # SHA-256 of whole `laws --json` documents: they pin the informational
 # rows and sample payloads as well as the check counts
-@pytest.mark.parametrize("suite, max_n, max_N, digest", [
-    ("lemma48", "2", "5",
+@pytest.mark.parametrize("suite, max_n, max_N, ks, digest", [
+    ("lemma48", "2", "5", "2,3",
      "f7e045ca5106c65b98664f2adef2c2a000e4a6189216953fd9dd04499cc33ce2"),
     # arity 3 with 44 projected-composite rows
-    ("lemma48", "3", "6",
+    ("lemma48", "3", "6", "2,3",
      "0e12d8e51fc7bc3a71b74ed6c495d200aece107ea8f79e407da215e6c0c2e438"),
-    ("ringhom", "1", "5",
+    # the benchmark's lemma48 grid, with the non-coprime pair (2, 4)
+    ("lemma48", "3", "8", "2,3,4",
+     "50e2fa10ebdeb269cc8b731a5c05229c8a0cb7565ebc474b71a2b4228e5f3281"),
+    ("ringhom", "1", "5", "2,3",
      "62d14d6e8f2c5b3452dd6f92c34847211941f376c7fd94a013eb12f6113ce8a0"),
-    ("coalg", "3", "6",
+    ("coalg", "3", "6", "2,3",
      "97ff25712967351a087b598061341e16e0a54610ae75a4df4ae27a0525608e86"),
     # 120 non-coprime coproduct rows, none of which the 3/6 grid has
-    ("coalg", "3", "12",
+    ("coalg", "3", "12", "2,3",
      "5d144f38da713ad12ca74f19d46ae6254459f4ef7eb8ce3b50a3609bc24c2f65"),
-], ids=["lemma48", "lemma48-arity-3", "ringhom", "coalg",
-        "coalg-non-coprime"])
-def test_laws_json_is_frozen(capsys, suite, max_n, max_N, digest):
+], ids=["lemma48", "lemma48-arity-3", "lemma48-benchmark", "ringhom",
+        "coalg", "coalg-non-coprime"])
+def test_laws_json_is_frozen(capsys, suite, max_n, max_N, ks, digest):
     code, out, _ = run(capsys, "laws", "--suite", suite, "--max-n", max_n,
-                       "--max-N", max_N, "--ks", "2,3", "--json")
+                       "--max-N", max_N, "--ks", ks, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -393,6 +396,7 @@ _SMALL = {"dim": 1, "labels": ["p"], "strata": {}}
     ("tower", {"big": _MODEL, "small": _SMALL, "edges": []}),
     ("tower", {"big": _MODEL, "small": {**_SMALL, "labels": "p"},
                "edges": {}}),
+    ("pushforward", {"model": {**_MODEL, "boundary": "Zp"}, "map": ["Zp"]}),
 ])
 def test_burnside_rejects_malformed_shapes(tmp_path, capsys, mode, docs):
     # a string once read as a list of one-letter labels, and an array of
@@ -428,6 +432,10 @@ _EDGE = {"source": "p", "target": "Y", "dim": 0}
         "1,2": {"name": "C"}, "2,1": {"name": "K"}}}}, "index set"),
     ("boundary", {"model": {"dim": 3, "labels": ["D", "E"], "strata": {
         "1,1,2": {"name": "C"}}}}, "repeats an index"),
+    ("pushforward", {"model": {**_TWO, "boundary": "Zp"}, "map": {"Zp": 5}},
+     "relabeled target"),
+    ("pushforward", {"model": {**_TWO, "boundary": "Zp"},
+                     "map": {"Zp": ["a"]}}, "relabeled target"),
 ])
 def test_burnside_refuses_non_string_names_and_repeated_strata(
         tmp_path, capsys, mode, docs, what):

@@ -511,7 +511,7 @@ def test_check_laws_refuses_huge_grids_before_any_cell(monkeypatch, suite,
     # no cell may be built before the grid is refused
     def no_cells(n, N):
         raise AssertionError("a cell was built")
-    monkeypatch.setattr(birmod.ops, "enumerate_symbols", no_cells)
+    monkeypatch.setattr(birmod.ops, "_coded_symbols", no_cells)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="grid cell"):
         check_laws(suite, max_n, max_N, ks)
@@ -662,12 +662,17 @@ def test_position_verdict_matches_full_expansion():
             min_size=1, max_size=3)))
         kl = k * l
         lifts = lambda e: _raw_rho(k, L, _raw_rho(l, L, e))
-        for other in (lambda e: _raw_rho(kl, L, e),
-                      lambda e: _raw_rho(l, L, _raw_rho(k, L, e)),
-                      # a negative control: the factors differ on most t
-                      lambda e: _raw_e(kl, L, e)):
-            ok = birmod.ops._by_position({}, t, lifts, other)
-            lhs, rhs = lifts({t: 1}), other({t: 1})
+        sides = [(lifts, other) for other in (
+            lambda e: _raw_rho(kl, L, e),
+            lambda e: _raw_rho(l, L, _raw_rho(k, L, e)),
+            # a negative control: the factors differ on most t
+            lambda e: _raw_e(kl, L, e))]
+        # both sides of every lemma48 law
+        sides += [(lambda e, f=f: f(k, l, L, e), lambda e, g=g: g(k, l, L, e))
+                  for _, f, g in birmod.ops._LEMMA48.values()]
+        for one, other in sides:
+            ok = birmod.ops._by_position({}, t, one, other)
+            lhs, rhs = one({t: 1}), other({t: 1})
             assert ok == (lhs == rhs)
             assert (ok or _same(lhs, rhs)) == _same(lhs, rhs)
             verdicts.add(ok)
@@ -716,9 +721,9 @@ def test_position_mismatch_falls_back_to_full_expansion(monkeypatch):
 
 def test_passing_law_checks_build_no_samples(monkeypatch):
     # a ringhom sample names both symbols; none is written when all hold
-    def refuse(self):
+    def refuse(i, L):
         raise AssertionError("built a sample for a passing check")
-    monkeypatch.setattr(Symbol, "to_json", refuse)
+    monkeypatch.setattr(birmod.ops, "_entry", refuse)
     rep = check_laws("ringhom", 1, 3, (2,))
     assert rep.failures_total == 0 and rep.laws[0].checked == 9
 
