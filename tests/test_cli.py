@@ -59,7 +59,12 @@ def test_rank_integral_minus(capsys):
      "370b536b05acf76fbc51f7565c094b3c327bdcdcfd90d1b789232db33b5ce916"),
     ("--n 3 --N 16 --minus --ring z",
      "921e8ed63b64ee0c862594c94a7f8af76b532ec15fb480d7374d9b6a5ed583a6"),
-], ids=["2-97-minus", "2-36-minus-z", "3-12-z", "3-16-minus-z"])
+    ("--n 3 --N 29 --ring z",
+     "b9d9b1c874cc72ea54d824ecbb8a47f0f3d9cc5f58239ae947e566304d98b0ba"),
+    ("--n 4 --N 16 --ring z",
+     "1a3d71cdbfcf79d5d3c7f48ef6ce5ff40d9efc61461781815bbbc118967e817b"),
+], ids=["2-97-minus", "2-36-minus-z", "3-12-z", "3-16-minus-z", "3-29-z",
+        "4-16-z"])
 def test_rank_json_is_frozen(capsys, args, digest):
     code, out, _ = run(capsys, "rank", *args.split(), "--json")
     assert code == 0

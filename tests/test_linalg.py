@@ -24,7 +24,7 @@ def matrices(max_rows=5, max_cols=5, entries=small_entries):
             min_size=1, max_size=max_rows))
 
 
-# no entry of +-1, so the Smith form starts with a Euclid step
+# no entry of +-1, so no pivot over Z is a unit
 non_unit_entries = strat.sampled_from([-6, -4, -3, -2, 0, 0, 2, 3, 4, 6, 9])
 
 
@@ -32,6 +32,20 @@ def scaled_sign_matrices():
     """g times a 0/+-1 matrix, g in 2..6: the shape of the relation cores."""
     return strat.integers(min_value=2, max_value=6).flatmap(
         lambda g: matrices(7, 7, entries=strat.sampled_from([-g, 0, g])))
+
+
+# row scales with deep valuations, a large prime and a product of two primes
+# whose valuations a gcd must split apart
+row_scales = strat.sampled_from([1, 2, 4, 8, 9, 27, 1009, 1009 ** 2,
+                                 2 ** 61 - 1, 1000003 * 1000033])
+
+
+def scaled_row_matrices():
+    """A 0/+-1/+-2 matrix with each row scaled by one of ``row_scales``."""
+    return matrices(6, 6, entries=strat.integers(-2, 2)).flatmap(
+        lambda rows: strat.lists(row_scales, min_size=len(rows),
+                                 max_size=len(rows)).map(
+            lambda scales: [[s * v for v in r] for s, r in zip(scales, rows)]))
 
 
 # The dense Smith routine that ``snf`` used to hand its core to, kept as an
@@ -329,7 +343,17 @@ def test_snf_divisibility_chain(rows):
 
 @hypothesis.given(strat.one_of(matrices(7, 7),
                                matrices(7, 7, entries=non_unit_entries),
-                               scaled_sign_matrices()))
+                               scaled_sign_matrices(),
+                               scaled_row_matrices()))
+# each hangs an elimination that stores entries that are 0 mod its modulus
+@hypothesis.example([[1, 1, 1, 0, 2, 0], [0, 294, 294, -147, -147, 147],
+                     [-1, 0, 0, 2, 1, 0]])
+@hypothesis.example([[-9, -1, -4], [0, 14, 19], [4, 0, 27], [-9, 26, 2],
+                     [19, -7, 0]])
+@hypothesis.example([[3, 1, -1, 3],
+                     [0, 2, -6917529027641081853, -4611686018427387902],
+                     [2305843009213693951, 3, 1, 1], [3, -1, 0, 3],
+                     [1, 2305843009213693951, 4611686018427387902, 0]])
 def test_snf_matches_dense_smith_form(rows):
     m = dense(rows)
     assert snf(m) == dense_smith_reference(m.rows, m.ncols)

@@ -400,7 +400,8 @@ def rank_mod(rows, p):
 
 @pytest.mark.parametrize("n, N, minus", [(2, 36, True), (3, 12, False),
                                          (3, 16, True), (3, 17, False),
-                                         (3, 19, False)])
+                                         (3, 19, False), (3, 29, False),
+                                         (4, 16, False)])
 def test_smith_form_against_rank_mod_p(n, N, minus):
     m = relation_matrix(n, N, minus)
     factors = m.invariant_factors()
