@@ -3,6 +3,8 @@
 import hashlib
 import json
 import time
+from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -526,6 +528,119 @@ def test_burnside_tower_and_pushforward_json(tmp_path, capsys):
     assert doc["model"] == "X"
     assert doc["pushforward"] == [{"c": 1, "source": "Y", "target": "W",
                                    "dim": 1}]
+
+
+# labels and stratum names come from one small pool, so generators of a
+# model collide and merge; "P" at depth 2 and a component "P x A^1" are
+# two spellings of one generator
+NAMES = ["D1", "D2", "D3", "E", "P", "P x A^1", "Q x A^2", "pt"]
+RULE_SOURCES = ["D1", "D2", "D3", "E", "P", "pt"]
+RULE_TARGETS = ["P", "P x A^1", "Q", "Q x A^2", "pt", "pt x A^1", "L"]
+TARGETS = ["X", "Y", "Z"]
+
+
+def corpus_model(rng, dim):
+    """A model over the name pool; a depth-1 stratum may come first."""
+    labels = rng.sample(NAMES, rng.randint(1, 4))
+    strata = {}
+    if rng.random() < 0.3:
+        strata[str(rng.randint(1, len(labels)))] = {"name": rng.choice(NAMES)}
+    for r in range(2, min(len(labels), dim) + 1):
+        for key in combinations(range(1, len(labels) + 1), r):
+            if rng.random() < 0.5:
+                strata[",".join(map(str, key))] = {"name": rng.choice(NAMES)}
+    return {"dim": dim, "labels": labels, "strata": strata,
+            "name": rng.choice(TARGETS), "boundary": rng.choice(TARGETS)}
+
+
+def corpus_rules(rng):
+    """Acyclic rules: each source rewrites only to a label after it."""
+    sources = rng.sample(RULE_SOURCES, len(RULE_SOURCES))
+    rules = []
+    for i, src in enumerate(sources):
+        dst = rng.choice(RULE_TARGETS)
+        if rng.random() < 0.5 and dst not in sources[:i + 1]:
+            rules.append({"from": src, "to": dst})
+    return rules
+
+
+def burnside_corpus(seed=25, count=198):
+    """Seeded (model, rules, map, big, small, edges) cases, after two
+    fixed ones in which the generators "P" + 1 and "P x A^1" + 0 merge:
+    the first spelling met survives, and the rule "P" -> "Q" rewrites it
+    only when it is the one spelled "P"."""
+    p = {"name": "P"}
+    yield ({"dim": 2, "labels": ["P x A^1", "D2", "D3"],
+            "strata": {"1,2": p, "1,3": p}},
+           [{"from": "P", "to": "Q"}], {"X": "T"}, None, None, None)
+    yield ({"dim": 2, "labels": ["D1", "D2", "D3"],
+            "strata": {"1": {"name": "P x A^1"}, "1,2": p, "1,3": p}},
+           [{"from": "P", "to": "Q"}], {"X": "T"}, None, None, None)
+    rng = Random(seed)
+    for _ in range(count):
+        dim = rng.randint(2, 5)
+        model, big = corpus_model(rng, dim), corpus_model(rng, dim)
+        small = corpus_model(rng, dim - 1)
+        edges = {}
+        if rng.random() < 0.5:
+            # a tower that passes unless the rules rename a deep stratum:
+            # components map to components, deep strata die
+            m = rng.randint(1, 4)
+            big["labels"] = ["C%d" % i for i in range(1, m + 1)]
+            big["strata"] = {k: v for k, v in big["strata"].items()
+                             if "," in k and max(map(int, k.split(","))) <= m}
+            small.update(labels=["L%d" % i for i in range(1, m + 1)],
+                         strata={})
+            edges = {"C%d" % i: {"source": "L%d" % i, "dim": dim - 2,
+                                 "target": small["boundary"]}
+                     for i in range(1, m + 1)}
+            edges.update({"%s x A^%d" % (st["name"], k.count(",")): None
+                          for k, st in big["strata"].items()})
+        for name in NAMES:
+            for affine in range(3):
+                if rng.random() < 0.3:
+                    key = name if affine == 0 else "%s x A^%d" % (name,
+                                                                 affine)
+                    edges[key] = None if rng.random() < 0.3 else {
+                        "source": rng.choice(NAMES + RULE_TARGETS),
+                        "target": small["boundary"], "dim": dim - 2}
+        yield (model, corpus_rules(rng) if rng.random() < 0.7 else None,
+               {t: rng.choice(["T0", "T1"]) for t in TARGETS},
+               big, small, edges)
+
+
+# SHA-256 of the exit codes and `--json` outputs of the three burnside
+# modes over the seeded corpus, and of the text boundaries
+@pytest.mark.parametrize("mode, digest", [
+    ("boundary",
+     "dc93b42c91c91594c66c4d63857ef16c8b448fdf9d8439267e30cb7c389411d6"),
+    ("boundary-text",
+     "f4f21b16ead0fd46a06f00088a24a45c14b7a64edd24352d6c0500b9ffe4e5d4"),
+    ("pushforward",
+     "183660c6b55041d4a0ca2c3be8f30c6e98630408d870e7e7b4d9b723263ed4f3"),
+    ("tower",
+     "3e44b34c2909d34481ab7c500ddf04f066347585339fab217e4321bf9c32b49e"),
+])
+def test_burnside_output_is_frozen(tmp_path, capsys, mode, digest):
+    h = hashlib.sha256()
+    for model, rules, relabel, big, small, edges in burnside_corpus():
+        argv = ["--rules", write(tmp_path, "r.json", rules)] if rules else []
+        if mode == "tower":
+            if big is None:
+                continue
+            argv += ["--big", write(tmp_path, "big.json", big),
+                     "--small", write(tmp_path, "small.json", small),
+                     "--edges", write(tmp_path, "edges.json", edges)]
+        else:
+            argv += ["--model", write(tmp_path, "m.json", model)]
+        if mode == "pushforward":
+            argv += ["--map", write(tmp_path, "map.json", relabel)]
+        if mode != "boundary-text":
+            argv.append("--json")
+        code, out, err = run(capsys, "burnside", mode.split("-")[0], *argv)
+        assert err == ""
+        h.update(b"%d\n%s" % (code, out.encode()))
+    assert h.hexdigest() == digest
 
 
 def test_diagram_pairs_with_dot(tmp_path, capsys):
