@@ -18,6 +18,7 @@ equality of the declared classes.
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .lincomb import LinComb
 
@@ -36,7 +37,6 @@ def parse_composite(label):
         affine += int(m.group(2))
 
 
-@dataclass(frozen=True)
 class BurnGen:
     """One generator: a source composite over a target label.
 
@@ -44,21 +44,46 @@ class BurnGen:
     ``composite`` when the generator is made.  Two generators are the same
     iff their composite labels, targets, and total source dimensions agree;
     the composite is compared as spelled, so "E x A^1" with one more affine
-    factor is not "E" with two.
+    factor is not "E" with two.  That identity and its hash are computed
+    once, and every field is read-only.
     """
-    source: str = field(compare=False)
-    affine: int = field(compare=False)
-    target: str
-    dim: int
-    composite: str = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "composite", self.source if self.affine == 0
-                           else "%s x A^%d" % (self.source, self.affine))
+    __slots__ = ("_source", "_affine", "_composite", "_target", "_dim",
+                 "_id", "_hash")
+
+    def __init__(self, source, affine, target, dim):
+        self._source, self._affine, self._target, self._dim = (
+            source, affine, target, dim)
+        self._composite = composite = (
+            source if affine == 0 else "%s x A^%d" % (source, affine))
+        self._id = key = (composite, target, dim)
+        self._hash = hash(key)
+
+    source = property(attrgetter("_source"))
+    affine = property(attrgetter("_affine"))
+    composite = property(attrgetter("_composite"))
+    target = property(attrgetter("_target"))
+    dim = property(attrgetter("_dim"))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, BurnGen):
+            return NotImplemented
+        return self._id == other._id
+
+    def __repr__(self):
+        return "BurnGen(source=%r, affine=%r, target=%r, dim=%r)" % (
+            self._source, self._affine, self._target, self._dim)
 
     def to_json(self):
-        return {"source": self.composite, "target": self.target,
-                "dim": self.dim}
+        return {"source": self._composite, "target": self._target,
+                "dim": self._dim}
+
+
+# generators are listed by dimension, composite, then target
+_order = attrgetter("dim", "composite", "target")
 
 
 class BurnElem(LinComb):
@@ -67,9 +92,7 @@ class BurnElem(LinComb):
     __slots__ = ()
 
     def items(self):
-        return sorted(self.terms.items(),
-                      key=lambda gc: (gc[0].dim, gc[0].composite,
-                                      gc[0].target))
+        return sorted(self.terms.items(), key=lambda gc: _order(gc[0]))
 
     def __repr__(self):
         if not self.terms:
@@ -192,7 +215,8 @@ def boundary_snc(model, target=None):
 
 def check_grading(elem, expected_dim):
     """Generators whose total source dimension is off the expected grade."""
-    return [g for g, _ in elem.items() if g.dim != expected_dim]
+    return sorted((g for g in elem.terms if g.dim != expected_dim),
+                  key=_order)
 
 
 class RewriteRules:
@@ -318,10 +342,14 @@ class CyclicAction:
         return CyclicAction(self.level * n, perm)
 
     def act(self, elem):
-        """Relabel sources and targets of a boundary class."""
-        return BurnElem((BurnGen(self.perm.get(g.source, g.source), g.affine,
-                                 self.perm.get(g.target, g.target), g.dim), c)
-                        for g, c in elem.terms.items())
+        """Relabel sources and targets of a boundary class; a generator
+        whose labels the action does not mention is kept as it is."""
+        perm = self.perm
+        return BurnElem(
+            (g if g.source not in perm and g.target not in perm
+             else BurnGen(perm.get(g.source, g.source), g.affine,
+                          perm.get(g.target, g.target), g.dim), c)
+            for g, c in elem.terms.items())
 
 
 @dataclass

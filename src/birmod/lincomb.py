@@ -14,6 +14,8 @@ def _collect(pairs):
     clean = {}
     for k, c in pairs:
         clean[k] = clean.get(k, 0) + c
+    if all(clean.values()):
+        return clean
     return {k: c for k, c in clean.items() if c}
 
 

@@ -74,7 +74,8 @@ MAX_TUPLES = 10 ** 5
 # worst case, where every check expands both sides in full.  On that host
 # grids at the budget (ks 2,3, arity 2-4) ran 0.1-3.1 s (lemma48) and
 # 0.1-1.2 s (ringhom) when every law held, 12-43 s and 7-24 s in full;
-# coalg ran 90 s, and lemma48 at arity 1 (max_N 1490) 169 s
+# coalg ran 90 s, and lemma48 at arity 1 (max_N 790, its symbols floored
+# at two tuples per law check) 42 s
 MAX_GRID_TUPLES = 10 ** 7
 
 
@@ -377,14 +378,20 @@ _LEMMA48 = {
 }
 
 
+def _lemma48_pairs(ks):
+    """The (k, l) index pairs of each kind of lemma48 law."""
+    pairs = {"kl": list(product(ks, ks)), "k": [(k, None) for k in ks]}
+    pairs["coprime"] = [(k, l) for k, l in pairs["kl"] if gcd(k, l) == 1]
+    return pairs
+
+
 def _lemma48_cell(laws, info, n, N, ks):
     """Check the lemma48 laws on every symbol of arity n and modulus N,
     each position by position (``_by_position``) and in full by ``_same``
     only on a symbol where some position differs."""
     # two stacked lifts by k and l reach denominators N*k*l, which divide L
     L = N * lcm(*ks) ** 2
-    pairs = {"kl": list(product(ks, ks)), "k": [(k, None) for k in ks]}
-    pairs["coprime"] = [(k, l) for k, l in pairs["kl"] if gcd(k, l) == 1]
+    pairs = _lemma48_pairs(ks)
     memo = {}  # (law, k, l) -> entry code -> verdict
     for t in _symbols_at(n, N, L):
         x = {t: 1}
@@ -481,22 +488,29 @@ def _bound_grid(suite, max_n, max_N, ks):
 
     With k the largest index, an arity-n symbol costs k^(2n) tuples in
     lemma48 and 2^n splits per k in coalg; ringhom pairs of arities n, m
-    cost k^(2n+m), in sum at most the symbols times the sum of k^(3n)."""
+    cost k^(2n+m), in sum at most the symbols times the sum of k^(3n).
+    A lemma48 symbol costs at least two tuples per law check, one on each
+    side: at arity 1 that floor, not k^2, is the cost."""
     k, cells = ks[-1], max_n * (max_N - 1)
     if suite == "coalg":
-        each = "%d x 2^%d splits" % (len(ks), max_n)
+        each = "%d x 2^%d splits each" % (len(ks), max_n)
         size = _grid_size(max_n, max_N, lambda n: len(ks) << n)
+    elif suite == "lemma48":
+        _bound("laws --suite lemma48", 1, k, 2 * max_n)
+        pairs = _lemma48_pairs(ks)
+        floor = 2 * sum(len(pairs[which]) for which, _, _ in _LEMMA48.values())
+        each = ("%d^%d tuples each (a symbol at least %d, two per law "
+                "check)" % (k, 2 * max_n, floor))
+        size = _grid_size(max_n, max_N, lambda n: max(k ** (2 * n), floor))
     else:
-        power = 2 if suite == "lemma48" else 3
-        _bound("laws --suite " + suite, 1, k, power * max_n)
-        each = "%d^%d tuples" % (k, power * max_n)
-        size = _grid_size(max_n, max_N, lambda n: k ** (power * n))
-        if suite == "ringhom":
-            cells *= cells
-            size *= _grid_size(max_n, max_N, lambda n: 1)
+        _bound("laws --suite ringhom", 1, k, 3 * max_n)
+        each = "%d^%d tuples each" % (k, 3 * max_n)
+        cells *= cells
+        size = (_grid_size(max_n, max_N, lambda n: k ** (3 * n))
+                * _grid_size(max_n, max_N, lambda n: 1))
     if size > MAX_GRID_TUPLES:
         raise ValueError("laws --suite %s would expand %d grid cell(s) into "
-                         "up to %s each, above the budget of %d in all"
+                         "up to %s, above the budget of %d in all"
                          % (suite, cells, each, MAX_GRID_TUPLES))
 
 

@@ -36,6 +36,21 @@ def test_generator_composite_and_equality():
         "BurnGen(source='E', affine=1, target='X', dim=2)"
 
 
+def test_generator_identity_is_read_only():
+    g, h = BurnGen("P", 1, "X", 2), BurnGen("P x A^1", 0, "X", 2)
+    for name, value in (("composite", "Q"), ("target", "Y"), ("dim", 3),
+                        ("source", "Q"), ("affine", 0)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert (g.composite, g.target, g.dim) == ("P x A^1", "X", 2)
+    assert g == h and hash(g) == hash(h) and not g != h
+    assert {g: 1}[h] == 1
+    assert g != BurnGen("P", 1, "Y", 2) and g != BurnGen("P", 1, "X", 3)
+    # a generator is never equal to its identity written out
+    assert (g == ("P x A^1", "X", 2)) is False
+    assert g != ("P x A^1", "X", 2)
+
+
 def test_elem_from_pairs_adds_equal_generators():
     g, h = BurnGen("P", 1, "X", 2), BurnGen("P x A^1", 0, "X", 2)
     assert g == h
@@ -198,6 +213,10 @@ def test_action_on_boundary_classes():
     a = CyclicAction(2, {"E1": "E2", "E2": "E1", "X": "X", "C": "C"})
     bd = boundary_snc(two_component_model())
     assert a.act(bd) == bd  # swapping the two components fixes the class
+    assert CyclicAction(2, {"u": "v", "v": "u"}).act(bd) == bd
+    # a moved target alone moves every generator
+    assert CyclicAction(2, {"X": "Y", "Y": "X"}).act(bd) == \
+        boundary_snc(two_component_model(), target="Y")
     b = CyclicAction(2, {"E1": "F1", "F1": "E1", "E2": "E2",
                          "X": "X", "C": "C"})
     moved = b.act(bd)

@@ -304,6 +304,7 @@ def test_laws_refuses_huge_grids(capsys, args, cells, size):
 
 @pytest.mark.parametrize("args", [
     ("--suite", "lemma48", "--max-n", "3", "--max-N", "200", "--ks", "2"),
+    ("--suite", "lemma48", "--max-n", "1", "--max-N", "1490", "--ks", "2,3"),
     ("--suite", "coalg", "--max-n", "12", "--max-N", "30"),
 ])
 def test_laws_refuses_runaway_grids(capsys, args):

@@ -1,5 +1,6 @@
 """The shared algebra of formal sums, the group ring and boundary classes."""
 
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis
@@ -8,6 +9,7 @@ import pytest
 
 from birmod import (BurnElem, BurnGen, FormalSum, GroupRingElem, QZ,
                     canonicalize)
+from birmod.lincomb import _collect
 
 
 def qz_values(max_den=8):
@@ -64,3 +66,22 @@ def test_shared_algebra(keys, coeffs, build, data):
                 x + zero
             with pytest.raises(TypeError):
                 zero - x
+
+
+# two spellings of one generator, another generator, and plain keys
+SPELLINGS = [BurnGen("P", 1, "X", 2), BurnGen("P x A^1", 0, "X", 2),
+             BurnGen("P", 1, "Y", 2), "a", 1]
+
+
+@hypothesis.given(pairs=strat.lists(strat.tuples(
+    strat.sampled_from(SPELLINGS), strat.one_of(ints, fractions))))
+def test_collect_matches_a_counter(pairs):
+    """Equal keys add, zero sums drop out, and each key keeps its first
+    occurrence: its place in the order and the object itself."""
+    total = Counter()
+    for k, c in pairs:
+        total[k] += c
+    expected = [(k, c) for k, c in total.items() if c]
+    got = list(_collect(pairs).items())
+    assert got == expected
+    assert all(k is e for (k, _), (e, _) in zip(got, expected))

@@ -501,6 +501,8 @@ def test_nabla_refuses_a_huge_lift():
 
 @pytest.mark.parametrize("suite, max_n, max_N, ks", [
     ("lemma48", 3, 200, (2,)),
+    # arity 1: k^2 tuples a symbol fit, the 16 law checks a symbol do not
+    ("lemma48", 1, 1490, (2, 3)),
     ("coalg", 12, 30, (2, 3)),
     ("coalg", 10 ** 10, 10 ** 10, (2,)),
     ("ringhom", 2, 10 ** 10, (2,)),
@@ -516,6 +518,27 @@ def test_check_laws_refuses_huge_grids_before_any_cell(monkeypatch, suite,
     with pytest.raises(ValueError, match="grid cell"):
         check_laws(suite, max_n, max_N, ks)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("suite, max_n, max_N, ks", [
+    # the cli defaults
+    ("lemma48", 2, 6, (2, 3)), ("ringhom", 2, 6, (2, 3)),
+    ("coalg", 2, 6, (2, 3)),
+    # the benchmark's law grids
+    ("lemma48", 3, 8, (2, 3, 4)), ("coalg", 3, 8, (2, 3, 5)),
+    # the lemma48 grid at the work budget, and arity 1 within it
+    ("lemma48", 2, 89, (2, 3)), ("lemma48", 1, 790, (2, 3)),
+])
+def test_grid_budget_admits_the_shipped_grids(suite, max_n, max_N, ks):
+    birmod.ops._bound_grid(suite, max_n, max_N, ks)
+
+
+def test_grid_budget_floors_a_lemma48_symbol_at_its_law_checks():
+    # 16 law checks a symbol at ks 2,3: an arity-1 grid counts 32 tuples
+    # a symbol, not 3^2; 2 + 3 + ... + 791 symbols then pass the budget
+    with pytest.raises(ValueError, match=r"3\^2 tuples each \(a symbol "
+                       r"at least 32, two per law check\)"):
+        birmod.ops._bound_grid("lemma48", 1, 791, (2, 3))
 
 
 def test_grid_budget_bounds_every_symbol():
