@@ -17,7 +17,6 @@ equality of the declared classes.
 """
 
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .lincomb import LinComb
@@ -106,30 +105,29 @@ class BurnElem(LinComb):
         return [{"c": c, **g.to_json()} for g, c in self.items()]
 
 
-@dataclass
 class Stratum:
-    name: str
-    dim: int
+    def __init__(self, name, dim):
+        self.name, self.dim = name, dim
+
+    def __eq__(self, other):
+        if not isinstance(other, Stratum):
+            return NotImplemented
+        return (self.name, self.dim) == (other.name, other.dim)
 
 
-@dataclass
 class Model:
     """Combinatorial normal-crossings model."""
-    dim: int
-    labels: list
-    strata: dict
-    name: str = "X"
-    boundary_target: str = None
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(self, dim, labels, strata, name="X", boundary_target=None):
+        if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("component labels must be distinct")
-        if self.boundary_target is None:
-            self.boundary_target = self.name
+        self.dim, self.labels, self.name = dim, labels, name
+        self.boundary_target = (name if boundary_target is None
+                                else boundary_target)
+        self.strata = dict(strata)  # the caller's dict stays as given
         n = len(self.labels)
-        self.strata = dict(self.strata)  # the caller's dict stays as given
         for key, st in self.strata.items():
             if not key or not all(1 <= i <= n for i in key):
                 raise ValueError("bad stratum index set %r" % (set(key),))
@@ -352,12 +350,10 @@ class CyclicAction:
             for g, c in elem.terms.items())
 
 
-@dataclass
 class TowerResult:
-    ok: bool
-    transported: BurnElem
-    expected: BurnElem
-    unmapped: list = field(default_factory=list)
+    def __init__(self, ok, transported, expected, unmapped=None):
+        self.ok, self.transported, self.expected = ok, transported, expected
+        self.unmapped = [] if unmapped is None else unmapped
 
     def to_json(self):
         return {"ok": self.ok, "transported": self.transported.to_json(),

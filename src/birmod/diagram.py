@@ -15,14 +15,11 @@ the checks and the quotient read its hom-sets from that index instead
 of rescanning the morphisms.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    src: tuple
-    dst: tuple
-    kind: str
+class Edge(namedtuple("Edge", "src dst kind")):
+    __slots__ = ()
 
     def to_json(self):
         return {"src": list(self.src), "dst": list(self.dst),
@@ -203,12 +200,9 @@ def build_equivariant_diagram(data):
     return dia
 
 
-@dataclass(frozen=True)
-class Morphism:
-    name: str
-    src: str
-    dst: str
-    invertible: bool = False
+class Morphism(namedtuple("Morphism", "name src dst invertible",
+                          defaults=(False,))):
+    __slots__ = ()
 
 
 def _iso_flag(m):
@@ -340,13 +334,11 @@ class CatPresentation:
         return self.class_index()[0]
 
 
-@dataclass
 class PosetCheckResult:
-    ok: bool
-    classes: list
-    not_invertible: list
-    orbit_witnesses: list
-    thin: bool
+    def __init__(self, ok, classes, not_invertible, orbit_witnesses, thin):
+        self.ok, self.classes, self.thin = ok, classes, thin
+        self.not_invertible = not_invertible
+        self.orbit_witnesses = orbit_witnesses
 
     def to_json(self):
         return {"ok": self.ok, "classes": self.classes,
@@ -393,14 +385,13 @@ def check_poset_in_groupoids(cat):
                             orbit_witnesses, thin)
 
 
-@dataclass
 class QuotientResult:
-    classes: list
-    edges: list
-    longest_paths: dict
-    top_classes: list
-    unique_top: bool
-    has_cycle: bool
+    def __init__(self, classes, edges, longest_paths, top_classes, unique_top,
+                 has_cycle):
+        self.classes, self.edges, self.longest_paths = \
+            classes, edges, longest_paths
+        self.top_classes, self.unique_top, self.has_cycle = \
+            top_classes, unique_top, has_cycle
 
     def to_json(self):
         return {"classes": self.classes, "edges": self.edges,

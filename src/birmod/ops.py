@@ -55,7 +55,6 @@ with ``_same``; the coproduct keys its output canonically.
 """
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product, starmap
 from math import comb, gcd, lcm
@@ -189,11 +188,16 @@ def nabla_op(ell, x, y, strict=True):
     return _wrap(out, L, arity, x.rational or y.rational)
 
 
-@dataclass
 class DeltaSum:
     """Output of the coproduct: tensor terms grouped by arity split."""
 
-    buckets: dict = field(default_factory=dict)
+    def __init__(self, buckets=None):
+        self.buckets = {} if buckets is None else buckets
+
+    def __eq__(self, other):
+        if not isinstance(other, DeltaSum):
+            return NotImplemented
+        return self.buckets == other.buckets
 
     def add(self, split, left, right, coeff):
         b = self.buckets.setdefault(split, {})
@@ -271,12 +275,10 @@ def split_by_modulus(fs):
 
 # law verification
 
-@dataclass
 class LawCheck:
-    law: str
-    checked: int = 0
-    failures: int = 0
-    samples: list = field(default_factory=list)
+    def __init__(self, law, checked=0, failures=0, samples=None):
+        self.law, self.checked, self.failures = law, checked, failures
+        self.samples = [] if samples is None else samples
 
     def record(self, ok, sample):
         """Count one check; a failure keeps sample(), built only then."""
@@ -287,12 +289,9 @@ class LawCheck:
                 self.samples.append(sample())
 
 
-@dataclass
 class OperatorReport:
-    suite: str
-    grid: dict
-    laws: list
-    info: dict
+    def __init__(self, suite, grid, laws, info):
+        self.suite, self.grid, self.laws, self.info = suite, grid, laws, info
 
     @property
     def failures_total(self):

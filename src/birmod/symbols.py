@@ -281,17 +281,25 @@ def _wrap(sums, L, arity, rational):
     return _coded(_by_modulus(sums, L), arity, rational)
 
 
-def _blowup_row(t, L, positions):
-    """``blowup_relation`` on the coded tuple t, as given (not sorted)."""
+def _blowup_row(t, L, positions, col):
+    """``blowup_relation`` on the coded tuple t, as given (not sorted),
+    with each sorted tuple written as ``col(tuple)``: its basis column, or
+    the tuple itself when col is ``tuple``."""
     m = gcd(L, *t)
-    row = {tuple(sorted(t)): 1}
+    row = {col(tuple(sorted(t))): 1}
     for i in positions:
-        key = tuple(sorted((x - t[i]) % L if j in positions and j != i
-                           else x for j, x in enumerate(t)))
+        x = t[i]
+        spread = list(t)
+        for j in positions:
+            spread[j] = (t[j] - x) % L
+        spread[i] = x
+        spread.sort()
+        key = tuple(spread)
         # each spread tuple still generates the same cyclic group
         assert gcd(L, *key) == m
+        key = col(key)
         row[key] = row.get(key, 0) - 1
-    return {key: c for key, c in row.items() if c}
+    return row if all(row.values()) else {k: c for k, c in row.items() if c}
 
 
 def blowup_relation(entries, k, positions=None, modulus=None):
@@ -319,7 +327,7 @@ def blowup_relation(entries, k, positions=None, modulus=None):
             raise ValueError("tuple does not generate Z/%d" % modulus)
     elif m < 2:
         raise ValueError("the zero tuple generates nothing")
-    return _wrap(_blowup_row(_enc(t, m), m, positions), m, n, False)
+    return _wrap(_blowup_row(_enc(t, m), m, positions, tuple), m, n, False)
 
 
 def relation_rows(n, N, minus=False):
@@ -343,18 +351,19 @@ class RelationMatrix:
         seen = {}
 
         def keep(row):
-            row = {index[t]: c for t, c in row.items()}
             seen.setdefault(tuple(sorted(row.items())), row)
 
+        col = index.__getitem__
+        parts = [pos for k in range(2, n + 1)
+                 for pos in combinations(range(n), k)]
         for t in basis:
-            for k in range(2, n + 1):
-                for pos in combinations(range(n), k):
-                    keep(_blowup_row(t, N, pos))
+            for pos in parts:
+                keep(_blowup_row(t, N, pos, col))
         if minus:
-            for t in basis:
+            for i, t in enumerate(basis):
                 for p in range(n):
-                    key = tuple(sorted(t[:p] + (-t[p] % N,) + t[p + 1:]))
-                    keep({key: 2} if key == t else {key: 1, t: 1})
+                    j = index[tuple(sorted(t[:p] + (-t[p] % N,) + t[p + 1:]))]
+                    keep({j: 2} if j == i else {j: 1, i: 1})
         self.mat = SparseMat(seen.values(), len(basis))
 
     @property

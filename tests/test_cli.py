@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 from random import Random
 
 import pytest
 
+import birmod
 import birmod.symbols
 from birmod.cli import main
 from birmod.ops import descent_failures
@@ -19,6 +23,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # every run is a fresh interpreter, so what ``import birmod.cli`` loads
+    # is paid on each; pytest has loaded these already, hence a subprocess
+    src = os.path.dirname(os.path.dirname(os.path.abspath(birmod.__file__)))
+    script = ("import sys; before = set(sys.modules); import birmod.cli; "
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    new = set(out.split())
+    assert "birmod.cli" in new
+    assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def write(tmp_path, name, payload):
