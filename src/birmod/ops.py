@@ -37,12 +37,17 @@ where some position differs are both sides expanded in full and compared
 sorted by ``_same``: every verdict, count and sample is the one the full
 expansion gives.
 
-A descent check relies on the operators being linear.  It expands the
-image of each basis symbol once per (k, operator), into canonical codes,
-and sums those images into the image of each relation row, which it
-splits by modulus.  A component that cancels is dropped, and its target
-matrix is not built.
-A target of full rank answers each span query without elimination.
+A descent check relies on the operators being linear.  It decides on
+the pivot rows of an echelon of the source relation rows, which span the
+same space over Q, and builds no relation matrix unless a pivot row
+escapes.  It expands the image of each basis symbol once per (k,
+operator), split by modulus into canonical codes, and sums those images
+into the image of each pivot row.  A component that cancels is dropped;
+every other one is projected onto a span-only target
+(``symbols._relation_span``), whose columns under --minus are the
+negation classes, so no negation row is made.  A target of full rank
+answers each span query without elimination.  Only an escape walks the
+relation rows, to write the report.
 
 One helper, ``_count``, sums every expansion by one rule: it counts each
 run's entry combinations in a ``Counter`` (so the work per combination
@@ -60,8 +65,11 @@ from itertools import combinations, product, starmap
 from math import comb, gcd, lcm
 from operator import add
 
-from .symbols import (relation_matrix, TWO_TORSION, _coded, _coded_symbols,
-                      _dec, _entry, _level, _minus_rep, _raw_of, _sym, _wrap)
+from .linalg import Echelon
+from .symbols import (relation_matrix, TWO_TORSION, _by_modulus, _coded,
+                      _coded_symbols, _dec, _entry, _level, _minus_rep,
+                      _project, _raw_of, _relation_span, _relations, _sym,
+                      _wrap)
 
 MAX_STORED_FAILURES = 50
 # the lift, the torsion shift and the product (through the lift of its
@@ -79,7 +87,7 @@ MAX_GRID_TUPLES = 10 ** 7
 
 
 def _check_k(k):
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("operator index must be a positive integer")
 
 
@@ -558,47 +566,88 @@ def check_laws(suite, max_n, max_N, ks):
     return OperatorReport(suite, grid, laws, info)
 
 
+def _split(sums, L):
+    """Tuples coded at level L as {modulus: {canonical code: coefficient}}."""
+    out = {}
+    for (M, t), c in _by_modulus(sums, L):
+        part = out.setdefault(M, {})
+        part[t] = part.get(t, 0) + c
+    return out
+
+
 def descent_failures(n, N, minus, ks):
     """Relation vectors whose operator images leave the relation span.
 
     Empty output means the operators descend to the presented quotient at
     (n, N): the image of every relation row decomposes by exact modulus
     and each component lies in the rational span of the relation rows of
-    the target module.  The operators are linear, so a row's image is
-    the sum of its coefficients times the images of its basis symbols.
-    Each basis symbol is expanded once per (k, operator), on first use:
-    on its code at the level the public operator would pick, into
-    canonical codes.  A component that cancels in the sum is dropped, and
-    no target matrix is built for it.
+    the target module.  The operators, the split by modulus and the
+    target projection are linear, so this holds for every relation row
+    exactly when it holds for the pivot rows of an echelon of them, which
+    span the same space over Q; those are checked first.  A pivot row's
+    image is the sum of its coefficients times the images of its basis
+    symbols, each expanded once per (k, operator), on first use, on its
+    code at the level the public operator would pick.  The (k, operator)
+    pairs go largest level first, and each target span
+    (``symbols._relation_span``) is dropped once no later level is a
+    multiple of its modulus.  Only when a pivot row escapes are the
+    relation rows themselves walked, to write the report.
     """
+    if not ks:
+        raise ValueError("need at least one operator index")
     for k in ks:
         _check_k(k)
-    mats = {}
-    src = mats[N] = relation_matrix(n, N, minus)
-    images = {}  # (k, operator) -> basis column -> its image
+    codes = _coded_symbols(n, N)
+    index = {t: i for i, t in enumerate(codes)}
+    pivots = [r for _, _, r in Echelon(
+        _relations(n, N, codes, index, minus), len(codes)).pivots]
+    maps = {k: (("scale", N, _raw_sigma), ("lift", N * k, _raw_rho),
+                ("torsion_shift", lcm(k, N), _raw_e)) for k in ks}
+    images = {}  # (k, operator) -> basis column -> {modulus: image part}
+    spans = {}  # modulus -> (cols, ech) of its target
+
+    def components(row, k, name, L, op):
+        """The nonzero exact-modulus components of the image of row."""
+        cache = images.setdefault((k, name), {})
+        parts = {}
+        for j, c in row.items():
+            image = cache.get(j)
+            if image is None:
+                code = tuple([L // N * x for x in codes[j]])
+                image = cache[j] = _split(op(k, L, {code: 1}), L)
+            for M, part in image.items():
+                acc = parts.setdefault(M, {})
+                for t, x in part.items():
+                    acc[t] = acc.get(t, 0) + c * x
+        for M, part in sorted(parts.items()):
+            comp = {t: x for t, x in part.items() if x}
+            if comp:
+                yield M, comp
+
+    def inside(M, comp):
+        if M not in spans:
+            spans[M] = _relation_span(n, M, minus)
+        cols, ech = spans[M]
+        return ech.contains(_project((cols[t], c) for t, c in comp.items()))
+
+    todo = sorted(((L, k, name, op) for k, named in maps.items()
+                   for name, L, op in named), key=lambda job: -job[0])
+    for at, (L, k, name, op) in enumerate(todo):
+        if not all(inside(M, comp) for row in pivots
+                   for M, comp in components(row, k, name, L, op)):
+            break
+        for M in [M for M in spans
+                  if all(later % M for later, _, _, _ in todo[at + 1:])]:
+            del spans[M]
+    else:
+        return []
+    # a pivot row escaped: the relation rows themselves give the report
     fails = []
-    for i, r in enumerate(src.mat.rows):
+    for i, r in enumerate(relation_matrix(n, N, minus).mat.rows):
         for k in ks:
-            for name, L, op in (("scale", N, _raw_sigma),
-                                ("lift", N * k, _raw_rho),
-                                ("torsion_shift", lcm(k, N), _raw_e)):
-                cache = images.setdefault((k, name), {})
-                parts = {}
-                for j, c in r.items():
-                    if j not in cache:
-                        code = tuple(L // N * x for x in src.codes[j])
-                        cache[j] = _wrap(op(k, L, {code: 1}), L, n, False)
-                    for (M, t), x in cache[j].terms.items():
-                        part = parts.setdefault(M, {})
-                        part[t] = part.get(t, 0) + c * x
-                for M, part in sorted(parts.items()):
-                    comp = {t: x for t, x in part.items() if x}
-                    if not comp:
-                        continue
-                    if M not in mats:
-                        mats[M] = relation_matrix(n, M, minus)
-                    vec = {mats[M].index[t]: c for t, c in comp.items()}
-                    if not mats[M].mat.echelon().contains(vec):
+            for name, L, op in maps[k]:
+                for M, comp in components(r, k, name, L, op):
+                    if not inside(M, comp):
                         fails.append({"row": i, "k": k, "op": name,
                                       "target_modulus": M, "component":
                                       _wrap(comp, M, n, False).to_json()})

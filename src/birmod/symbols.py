@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import gcd, lcm
 
-from .linalg import SparseMat, rank_q, snf
+from .linalg import Echelon, SparseMat, rank_q, snf
 from .lincomb import LinComb, _collect
 from .qz import QZ
 
@@ -330,6 +330,72 @@ def blowup_relation(entries, k, positions=None, modulus=None):
     return _wrap(_blowup_row(_enc(t, m), m, positions, tuple), m, n, False)
 
 
+def _blowup_rows(n, N, codes, col):
+    """The blow-up row of each code and part, in that order, written
+    through col as in ``_blowup_row``."""
+    parts = [pos for k in range(2, n + 1)
+             for pos in combinations(range(n), k)]
+    return (_blowup_row(t, N, pos, col) for t in codes for pos in parts)
+
+
+def _relations(n, N, codes, index, minus):
+    """Blow-up rows, then negation rows if minus, on the basis columns
+    (``index`` maps a code to its column); duplicates are kept."""
+    yield from _blowup_rows(n, N, codes, index.__getitem__)
+    if minus:
+        for i, t in enumerate(codes):
+            for p in range(n):
+                j = index[tuple(sorted(t[:p] + (-t[p] % N,) + t[p + 1:]))]
+                yield {j: 2} if j == i else {j: 1, i: 1}
+
+
+def _relation_span(n, M, minus):
+    """The span of the arity-n modulus-M relation rows, for membership only.
+
+    Returns (cols, ech): cols maps each basis code to (column, sign), and
+    a vector v on the codes lies in the span of the relation rows exactly
+    when its projection P v, ``_project((cols[t], c) for t, c in
+    v.items())``, lies in the span of ``ech``.  Without minus the columns
+    are the codes and every sign is 1.  With minus they are the negation
+    classes that are not two-torsion: a code goes to its class with its
+    sign (``_minus_rep``), a two-torsion code to sign 0.  No negation row
+    is made, and each blow-up row is projected.
+
+    This is exact over Q.  P kills every negation row: a single negation
+    flips the sign within a class, and a two-torsion code has sign 0.
+    Conversely, a negation row sets a code to minus its negated code, or
+    kills a code with a self-negative entry, and single negations connect
+    each class; so modulo the negation rows every code is its sign times
+    its class's least code (zero in a two-torsion class), and the kernel
+    of P lies in their span.  Hence v is in the span of all rows iff
+    P v = P w for some w in the span of the blow-up rows, iff P v is in
+    the span of the projected blow-up rows.  The column count minus the
+    rank of ``ech`` is ``RelationMatrix(n, M, minus).quotient_rank()``.
+    """
+    codes = _coded_symbols(n, M)
+    if minus:
+        classes, cols = {}, {}
+        for t in codes:
+            rep, sign = _minus_rep(t, M)
+            cols[t] = ((classes.setdefault(rep, len(classes)), sign)
+                       if sign != TWO_TORSION else (None, 0))
+        rows = (_project(r.items())
+                for r in _blowup_rows(n, M, codes, cols.__getitem__))
+        return cols, Echelon(rows, len(classes))
+    index = {t: i for i, t in enumerate(codes)}
+    rows = _blowup_rows(n, M, codes, index.__getitem__)
+    return {t: (i, 1) for t, i in index.items()}, Echelon(rows, len(codes))
+
+
+def _project(pairs):
+    """Sum sign * c at column j over ((j, sign), c) pairs, dropping zeros."""
+    out = {}
+    for (j, sign), c in pairs:
+        if sign:
+            out[j] = out.get(j, 0) + sign * c
+    return {j: c for j, c in out.items() if c}
+
+
 def relation_rows(n, N, minus=False):
     """Deduplicated nonzero relation vectors for the arity-n modulus-N module."""
     return RelationMatrix(n, N, minus).rows
@@ -349,21 +415,8 @@ class RelationMatrix:
         self.codes = basis = _coded_symbols(n, N)
         self.index = index = {t: i for i, t in enumerate(basis)}
         seen = {}
-
-        def keep(row):
+        for row in _relations(n, N, basis, index, minus):
             seen.setdefault(tuple(sorted(row.items())), row)
-
-        col = index.__getitem__
-        parts = [pos for k in range(2, n + 1)
-                 for pos in combinations(range(n), k)]
-        for t in basis:
-            for pos in parts:
-                keep(_blowup_row(t, N, pos, col))
-        if minus:
-            for i, t in enumerate(basis):
-                for p in range(n):
-                    j = index[tuple(sorted(t[:p] + (-t[p] % N,) + t[p + 1:]))]
-                    keep({j: 2} if j == i else {j: 1, i: 1})
         self.mat = SparseMat(seen.values(), len(basis))
 
     @property

@@ -14,11 +14,11 @@ import hypothesis.strategies as strat
 import pytest
 
 import birmod.ops
-from birmod import (TWO_TORSION, DeltaSum, FormalSum, QZ, Symbol,
-                    canonicalize, check_laws, delta_op, descent_failures,
-                    e_op, enumerate_symbols, minus_canonicalize, nabla_op,
-                    preimages, relation_rows, rho_hat_op, rho_op, sigma_op,
-                    split_by_modulus, torsion)
+from birmod import (TWO_TORSION, DeltaSum, FormalSum, QZ, RelationMatrix,
+                    Symbol, canonicalize, check_laws, delta_op,
+                    descent_failures, e_op, enumerate_symbols,
+                    minus_canonicalize, nabla_op, preimages, relation_rows,
+                    rho_hat_op, rho_op, sigma_op, split_by_modulus, torsion)
 from birmod.linalg import Echelon
 from birmod.ops import (_concat, _delta_sum, _raw_delta, _raw_e, _raw_rho,
                         _raw_sigma, _same)
@@ -602,6 +602,81 @@ def test_descent_images_match_public_operators(monkeypatch, n, N, minus):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_operators_refuse_bool_indices():
+    # True is an int, and sigma_op(True, x) used to return x as k = 1
+    x = one("1/3", "1/2")
+    for op in (sigma_op, rho_op, e_op):
+        with pytest.raises(ValueError):
+            op(True, x)
+    with pytest.raises(ValueError):
+        rho_hat_op(True, x.to_rational())
+
+
+@pytest.mark.parametrize("minus", [False, True])
+@pytest.mark.parametrize("ks", [(), [], (True,), (2, False), (2, 0)])
+def test_descent_refuses_bad_indices_before_any_rows(monkeypatch, minus, ks):
+    # an empty list would check nothing and pass; no source row, span or
+    # relation matrix is built before every index is checked
+    built = []
+
+    def record(*args):
+        built.append(args)
+        return iter(())
+
+    for name in ("_relations", "_relation_span", "relation_matrix"):
+        monkeypatch.setattr(birmod.ops, name, record)
+    with pytest.raises(ValueError):
+        descent_failures(2, 4, minus, ks)
+    assert built == []
+
+
+@pytest.mark.parametrize("n, N, minus", [(2, 5, False), (2, 8, False),
+                                         (2, 11, True), (1, 7, True)])
+def test_descent_reports_the_rows_a_skewed_operator_moves(monkeypatch, n, N,
+                                                          minus):
+    # scaling by 3 also keeps each symbol with an entry coded 1, so only
+    # some rows escape; the report is rebuilt from public calls
+    raw = birmod.ops._raw_sigma
+
+    def skewed(k, L, sums):
+        out = dict(raw(k, L, sums))
+        for t, c in sums.items():
+            if k == 3 and 1 in t:
+                out[t] = out.get(t, 0) + c
+        return {t: c for t, c in out.items() if c}
+
+    monkeypatch.setattr(birmod.ops, "_raw_sigma", skewed)
+    targets = {}
+    want = []
+    rows = relation_rows(n, N, minus)
+    for i, row in enumerate(rows):
+        for k in (2, 3):
+            for name, op in (("scale", sigma_op), ("lift", rho_op),
+                             ("torsion_shift", e_op)):
+                for M, comp in split_by_modulus(op(k, row)).items():
+                    if M not in targets:
+                        targets[M] = RelationMatrix(n, M, minus)
+                    if not targets[M].contains(comp):
+                        want.append({"row": i, "k": k, "op": name,
+                                     "target_modulus": M,
+                                     "component": comp.to_json()})
+    assert 0 < len({w["row"] for w in want}) < len(rows)
+    assert descent_failures(n, N, minus, (2, 3)) == want
+
+
+def test_descent_grid_builds_no_relation_matrix(monkeypatch):
+    # every cell of the benchmark grid descends, which is decided on a
+    # basis of the source rows against span-only targets
+    def refuse(*args):
+        raise AssertionError("built relation_matrix%r" % (args,))
+
+    monkeypatch.setattr(birmod.ops, "relation_matrix", refuse)
+    for n in range(1, 4):
+        for N in range(2, 7):
+            for minus in (False, True):
+                assert descent_failures(n, N, minus, (2, 3)) == []
 
 
 def test_descent_expands_each_basis_code_once_per_operator(monkeypatch):

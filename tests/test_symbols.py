@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from random import Random
 
@@ -302,6 +302,63 @@ def test_span_membership():
         assert m.contains(r)
     foreign = FormalSum.of(S("1/2", "1/2"))
     assert m.vectorize(foreign) is None and not m.contains(foreign)
+
+
+def _negation_orbit(t, N):
+    """(sorted tuple, flip parity) for every entrywise negation of t."""
+    return {(tuple(sorted(-i % N if f else i for i, f in zip(t, flips))),
+             sum(flips) % 2)
+            for flips in product((0, 1), repeat=len(t))}
+
+
+@pytest.mark.parametrize("minus", [False, True])
+def test_relation_span_matches_the_relation_matrix(minus):
+    # the span-only target against the full relation matrix: the column
+    # map is checked on negation orbits and the projection written here
+    rng = Random(20261020)
+    for n in range(1, 4):
+        for M in range(2, 13):
+            m = RelationMatrix(n, M, minus)
+            full = m.mat.echelon()
+            cols, ech = birmod.symbols._relation_span(n, M, minus)
+            assert set(cols) == set(m.codes)
+            for t in m.codes:
+                j, sign = cols[t]
+                if not minus:
+                    assert (j, sign) == (m.index[t], 1)
+                    continue
+                # two-torsion: t is its own negation at odd parity
+                orbit = _negation_orbit(t, M)
+                assert (sign == 0) == ((t, 1) in orbit)
+                for u, parity in orbit:
+                    assert cols[u] == (j, sign * (-1) ** parity)
+            live = {j for j, sign in cols.values() if sign}
+            assert live == set(range(ech.ncols))
+            assert ech.ncols - ech.rank == m.quotient_rank()
+
+            def project(vec):
+                out = {}
+                for i, c in vec.items():
+                    j, sign = cols[m.codes[i]]
+                    if sign:
+                        out[j] = out.get(j, 0) + sign * c
+                return {j: c for j, c in out.items() if c}
+
+            units = [{i: 1} for i in range(len(m.codes))]
+            mixes = []
+            for _ in range(50):
+                vec = {}
+                for r in rng.sample(m.mat.rows, min(3, len(m.mat.rows))):
+                    f = rng.randint(-3, 3)
+                    for i, c in r.items():
+                        vec[i] = vec.get(i, 0) + f * c
+                if rng.random() < 0.5:
+                    i = rng.randrange(len(m.codes))
+                    vec[i] = vec.get(i, 0) + rng.choice((-2, -1, 1, 2))
+                mixes.append({i: c for i, c in vec.items() if c})
+            for vec in units + m.mat.rows + mixes:
+                assert ech.contains(project(vec)) == full.contains(vec), \
+                    (n, M, vec)
 
 
 @lru_cache(maxsize=None)
