@@ -9,8 +9,7 @@ point of carrying this model alongside.
 """
 
 from .lincomb import LinComb
-from .ops import _check_k
-from .qz import QZ, preimages
+from .qz import QZ, _check_k, preimages
 from .symbols import _wire_rational
 
 

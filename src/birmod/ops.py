@@ -40,14 +40,16 @@ expansion gives.
 A descent check relies on the operators being linear.  It decides on
 the pivot rows of an echelon of the source relation rows, which span the
 same space over Q, and builds no relation matrix unless a pivot row
-escapes.  It expands the image of each basis symbol once per (k,
-operator), split by modulus into canonical codes, and sums those images
-into the image of each pivot row.  A component that cancels is dropped;
-every other one is projected onto a span-only target
-(``symbols._relation_span``), whose columns under --minus are the
-negation classes, so no negation row is made.  A target of full rank
-answers each span query without elimination.  Only an escape walks the
-relation rows, to write the report.
+escapes.  The source rows come from ``symbols._relations``, the
+generator the relation matrix is built from: each distinct row once.
+It expands the image of each basis symbol once per (k, operator), split
+by modulus into canonical codes, and sums those images into the image
+of each pivot row.  A component that cancels is dropped; every other
+one is projected onto a span-only target (``symbols._relation_span``),
+whose columns under --minus are the negation classes, so no negation
+row is made.  A target of full rank answers each span query without
+elimination.  Only an escape walks the relation rows, to write the
+report.
 
 One helper, ``_count``, sums every expansion by one rule: it counts each
 run's entry combinations in a ``Counter`` (so the work per combination
@@ -66,6 +68,7 @@ from math import comb, gcd, lcm
 from operator import add
 
 from .linalg import Echelon
+from .qz import _check_k
 from .symbols import (relation_matrix, TWO_TORSION, _by_modulus, _coded,
                       _coded_symbols, _dec, _entry, _level, _minus_rep,
                       _project, _raw_of, _relation_span, _relations, _sym,
@@ -84,11 +87,6 @@ MAX_TUPLES = 10 ** 5
 # coalg ran 90 s, and lemma48 at arity 1 (max_N 790, its symbols floored
 # at two tuples per law check) 42 s
 MAX_GRID_TUPLES = 10 ** 7
-
-
-def _check_k(k):
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError("operator index must be a positive integer")
 
 
 def _bound(what, terms, k, power):
@@ -628,7 +626,7 @@ def descent_failures(n, N, minus, ks):
         if M not in spans:
             spans[M] = _relation_span(n, M, minus)
         cols, ech = spans[M]
-        return ech.contains(_project((cols[t], c) for t, c in comp.items()))
+        return ech.contains(_project(comp, cols))
 
     todo = sorted(((L, k, name, op) for k, named in maps.items()
                    for name, L, op in named), key=lambda job: -job[0])

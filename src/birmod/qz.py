@@ -72,14 +72,19 @@ def qz(text):
     return QZ(Fraction(text))
 
 
+def _check_k(k):
+    """Refuse k unless it is a positive int; a bool is not taken as 0 or 1."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError("k must be a positive integer")
+
+
 def preimages(a, k):
     """The k solutions b of k*b = a, in ascending order.
 
     Solutions are (num + j*den)/(k*den) for j = 0..k-1, each reduced; they
     are pairwise distinct and already ascending.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     a = QZ(a)
     return tuple(QZ(a.numerator + j * a.denominator, k * a.denominator)
                  for j in range(k))
@@ -87,6 +92,5 @@ def preimages(a, k):
 
 def torsion(k):
     """All k-torsion points of Q/Z (the k solutions of k*b = 0), ascending."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     return tuple(QZ(j, k) for j in range(k))

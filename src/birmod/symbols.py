@@ -281,12 +281,13 @@ def _wrap(sums, L, arity, rational):
     return _coded(_by_modulus(sums, L), arity, rational)
 
 
-def _blowup_row(t, L, positions, col):
+def _blowup_row(t, L, positions, col, first):
     """``blowup_relation`` on the coded tuple t, as given (not sorted),
     with each sorted tuple written as ``col(tuple)``: its basis column, or
-    the tuple itself when col is ``tuple``."""
+    the tuple itself when col is ``tuple``.  ``first`` is t sorted and so
+    written, which a caller walking the sorted codes already holds."""
     m = gcd(L, *t)
-    row = {col(tuple(sorted(t))): 1}
+    row = {first: 1}
     for i in positions:
         x = t[i]
         spread = list(t)
@@ -327,26 +328,76 @@ def blowup_relation(entries, k, positions=None, modulus=None):
             raise ValueError("tuple does not generate Z/%d" % modulus)
     elif m < 2:
         raise ValueError("the zero tuple generates nothing")
-    return _wrap(_blowup_row(_enc(t, m), m, positions, tuple), m, n, False)
+    t = _enc(t, m)
+    return _wrap(_blowup_row(t, m, positions, tuple, tuple(sorted(t))), m, n,
+                 False)
 
 
-def _blowup_rows(n, N, codes, col):
-    """The blow-up row of each code and part, in that order, written
-    through col as in ``_blowup_row``."""
+def _blowup_rows(n, N, codes, index):
+    """The distinct blow-up rows on the basis columns, each at its first
+    occurrence in code, then part, order; ``index`` maps a code to its
+    column, and ``codes[i]`` to i.
+
+    Duplicates are found by the shape of a row, with no key per row.  The
+    row of code i has +1 at column i, unless a spread cancels it, and no
+    other positive entry.  So a row with a positive entry can only repeat
+    a row of the same code, and is compared with that code's kept rows
+    alone; at arity 2 there is one part, so with none.  The few rows with
+    no positive entry (96 of the 4752 at (2, 97)) share one set.
+    """
     parts = [pos for k in range(2, n + 1)
              for pos in combinations(range(n), k)]
-    return (_blowup_row(t, N, pos, col) for t in codes for pos in parts)
+    col = index.__getitem__
+    unsigned = set()
+    for i, t in enumerate(codes):
+        kept = []
+        for pos in parts:
+            row = _blowup_row(t, N, pos, col, i)
+            if row.get(i) == 1:
+                if row in kept:
+                    continue
+                kept.append(row)
+            else:
+                key = frozenset(row.items())
+                if key in unsigned:
+                    continue
+                unsigned.add(key)
+            yield row
+
+
+def _negation_rows(n, N, codes, index):
+    """The distinct negation rows on the basis columns, in code order.
+
+    Negating one entry of code i gives code j; the row is {j: 1, i: 1},
+    or {i: 2} when the entry is its own negative.  Negation is an
+    involution, so the pair {i, j} is also met from j: it is kept only
+    from min(i, j).  Equal entries give the same j, and every entry that
+    is its own negative gives i itself, so each is taken once.
+    """
+    for i, t in enumerate(codes):
+        doubled = False
+        for p in range(n):
+            a = t[p]
+            if p and a == t[p - 1]:
+                continue
+            b = -a % N
+            if b == a:
+                if not doubled:
+                    doubled = True
+                    yield {i: 2}
+                continue
+            j = index[tuple(sorted(t[:p] + (b,) + t[p + 1:]))]
+            if j > i:
+                yield {j: 1, i: 1}
 
 
 def _relations(n, N, codes, index, minus):
-    """Blow-up rows, then negation rows if minus, on the basis columns
-    (``index`` maps a code to its column); duplicates are kept."""
-    yield from _blowup_rows(n, N, codes, index.__getitem__)
+    """The distinct relation rows on the basis columns, each at its first
+    occurrence: blow-up rows, then negation rows if minus.  The two
+    families never meet, as their coefficients sum to 1 - k and to 2."""
+    yield from _blowup_rows(n, N, codes, index)
     if minus:
-        for i, t in enumerate(codes):
-            for p in range(n):
-                j = index[tuple(sorted(t[:p] + (-t[p] % N,) + t[p + 1:]))]
-                yield {j: 2} if j == i else {j: 1, i: 1}
+        yield from _negation_rows(n, N, codes, index)
 
 
 def _relation_span(n, M, minus):
@@ -354,12 +405,12 @@ def _relation_span(n, M, minus):
 
     Returns (cols, ech): cols maps each basis code to (column, sign), and
     a vector v on the codes lies in the span of the relation rows exactly
-    when its projection P v, ``_project((cols[t], c) for t, c in
-    v.items())``, lies in the span of ``ech``.  Without minus the columns
-    are the codes and every sign is 1.  With minus they are the negation
-    classes that are not two-torsion: a code goes to its class with its
-    sign (``_minus_rep``), a two-torsion code to sign 0.  No negation row
-    is made, and each blow-up row is projected.
+    when its projection P v, ``_project(v, cols)``, lies in the span of
+    ``ech``.  Without minus the columns are the codes and every sign is 1.
+    With minus they are the negation classes that are not two-torsion: a
+    code goes to its class with its sign (``_minus_rep``), a two-torsion
+    code to sign 0.  ``ech`` is built from the distinct blow-up rows of
+    ``_blowup_rows``, each projected; no negation row is made.
 
     This is exact over Q.  P kills every negation row: a single negation
     flips the sign within a class, and a two-torsion code has sign 0.
@@ -373,40 +424,42 @@ def _relation_span(n, M, minus):
     rank of ``ech`` is ``RelationMatrix(n, M, minus).quotient_rank()``.
     """
     codes = _coded_symbols(n, M)
-    if minus:
-        classes, cols = {}, {}
-        for t in codes:
-            rep, sign = _minus_rep(t, M)
-            cols[t] = ((classes.setdefault(rep, len(classes)), sign)
-                       if sign != TWO_TORSION else (None, 0))
-        rows = (_project(r.items())
-                for r in _blowup_rows(n, M, codes, cols.__getitem__))
-        return cols, Echelon(rows, len(classes))
     index = {t: i for i, t in enumerate(codes)}
-    rows = _blowup_rows(n, M, codes, index.__getitem__)
-    return {t: (i, 1) for t, i in index.items()}, Echelon(rows, len(codes))
+    rows = _blowup_rows(n, M, codes, index)
+    if not minus:
+        return {t: (i, 1) for t, i in index.items()}, Echelon(rows, len(codes))
+    classes, cols = {}, {}
+    for t in codes:
+        rep, sign = _minus_rep(t, M)
+        cols[t] = ((classes.setdefault(rep, len(classes)), sign)
+                   if sign != TWO_TORSION else (None, 0))
+    proj = list(cols.values())
+    return cols, Echelon((_project(r, proj) for r in rows), len(classes))
 
 
-def _project(pairs):
-    """Sum sign * c at column j over ((j, sign), c) pairs, dropping zeros."""
+def _project(vec, cols):
+    """Sum sign * c at column j over the entries (key, c) of vec, where
+    ``cols[key]`` is (j, sign), dropping zeros."""
     out = {}
-    for (j, sign), c in pairs:
+    for key, c in vec.items():
+        j, sign = cols[key]
         if sign:
             out[j] = out.get(j, 0) + sign * c
     return {j: c for j, c in out.items() if c}
 
 
 def relation_rows(n, N, minus=False):
-    """Deduplicated nonzero relation vectors for the arity-n modulus-N module."""
+    """The distinct relation rows of the arity-n modulus-N module, as
+    formal sums in ``RelationMatrix`` row order."""
     return RelationMatrix(n, N, minus).rows
 
 
 class RelationMatrix:
     """Coded symbol basis plus relation rows, with rank and span queries.
 
-    Blow-up rows, then negation rows if minus, each written on the basis
-    columns as it is made and kept at its first occurrence.  No row is
-    zero: its coefficients sum to 1 - k or 2.
+    The rows are those of ``_relations``: blow-up rows, then negation rows
+    if minus, on the basis columns, each distinct row once, at its first
+    occurrence.  No row is zero: its coefficients sum to 1 - k or 2.
     """
 
     def __init__(self, n, N, minus=False):
@@ -414,10 +467,8 @@ class RelationMatrix:
         # the basis coded at level N, and the column of each code
         self.codes = basis = _coded_symbols(n, N)
         self.index = index = {t: i for i, t in enumerate(basis)}
-        seen = {}
-        for row in _relations(n, N, basis, index, minus):
-            seen.setdefault(tuple(sorted(row.items())), row)
-        self.mat = SparseMat(seen.values(), len(basis))
+        self.mat = SparseMat(_relations(n, N, basis, index, minus),
+                             len(basis))
 
     @property
     def basis(self):

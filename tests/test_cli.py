@@ -83,8 +83,17 @@ def test_rank_integral_minus(capsys):
      "b9d9b1c874cc72ea54d824ecbb8a47f0f3d9cc5f58239ae947e566304d98b0ba"),
     ("--n 4 --N 16 --ring z",
      "1a3d71cdbfcf79d5d3c7f48ef6ce5ff40d9efc61461781815bbbc118967e817b"),
+    # ring Q at arity 3 and 4, where a part can repeat a row of its code
+    ("--n 3 --N 29",
+     "1f7cf0784f0637f4bb7a2056547893f383f4b435160bf4a1fa32cf328c4a4d55"),
+    ("--n 3 --N 16 --minus",
+     "fb1a902a44e2b7701b8ad775ad9be94befd286d6c25b32342f6227c18ebd33da"),
+    ("--n 4 --N 12",
+     "fd9f48dc26d8c92369ec4ea07924141c3cf5dc0fdf793c0b6aa18a6f7d05856f"),
+    ("--n 4 --N 12 --minus",
+     "61f68013481db49e207f7b9d22c45a8fd895aac18081419ae6ca1958b7b5536e"),
 ], ids=["2-97-minus", "2-36-minus-z", "3-12-z", "3-16-minus-z", "3-29-z",
-        "4-16-z"])
+        "4-16-z", "3-29", "3-16-minus", "4-12", "4-12-minus"])
 def test_rank_json_is_frozen(capsys, args, digest):
     code, out, _ = run(capsys, "rank", *args.split(), "--json")
     assert code == 0

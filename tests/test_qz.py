@@ -88,6 +88,15 @@ def test_bad_multipliers_rejected():
         torsion(-1)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.0, "2"])
+def test_non_int_multipliers_rejected(k):
+    # True is an int equal to 1, but no multiplier
+    with pytest.raises(ValueError):
+        preimages(QZ(1, 3), k)
+    with pytest.raises(ValueError):
+        torsion(k)
+
+
 @hypothesis.given(qz_elems())
 def test_representative_always_in_unit_interval(a):
     assert 0 <= a < 1
