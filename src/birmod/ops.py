@@ -39,17 +39,16 @@ expansion gives.
 
 A descent check relies on the operators being linear.  It decides on
 the pivot rows of an echelon of the source relation rows, which span the
-same space over Q, and builds no relation matrix unless a pivot row
-escapes.  The source rows come from ``symbols._relations``, the
-generator the relation matrix is built from: each distinct row once.
-It expands the image of each basis symbol once per (k, operator), split
-by modulus into canonical codes, and sums those images into the image
-of each pivot row.  A component that cancels is dropped; every other
-one is projected onto a span-only target (``symbols._relation_span``),
-whose columns under --minus are the negation classes, so no negation
-row is made.  A target of full rank answers each span query without
-elimination.  Only an escape walks the relation rows, to write the
-report.
+same space over Q.  The source is a ``symbols.RelationMatrix``, whose
+rows are built once and also written into the report if a pivot row
+escapes.  It expands the image of each basis symbol once per (k,
+operator), split by modulus into canonical codes, and sums those images
+into the image of each pivot row.  A component that cancels is dropped;
+every other one is asked of the target ``RelationMatrix`` at its modulus
+through ``holds``, which reads the span-only echelon of the target's
+blow-up rows (on the negation classes under --minus) and never builds
+the target's rows.  A target of full rank answers each span query
+without elimination.
 
 One helper, ``_count``, sums every expansion by one rule: it counts each
 run's entry combinations in a ``Counter`` (so the work per combination
@@ -67,12 +66,10 @@ from itertools import combinations, product, starmap
 from math import comb, gcd, lcm
 from operator import add
 
-from .linalg import Echelon
 from .qz import _check_k
-from .symbols import (relation_matrix, TWO_TORSION, _by_modulus, _coded,
+from .symbols import (RelationMatrix, TWO_TORSION, _by_modulus, _coded,
                       _coded_symbols, _dec, _entry, _level, _minus_rep,
-                      _project, _raw_of, _relation_span, _relations, _sym,
-                      _wrap)
+                      _raw_of, _sym, _wrap)
 
 MAX_STORED_FAILURES = 50
 # the lift, the torsion shift and the product (through the lift of its
@@ -586,23 +583,21 @@ def descent_failures(n, N, minus, ks):
     image is the sum of its coefficients times the images of its basis
     symbols, each expanded once per (k, operator), on first use, on its
     code at the level the public operator would pick.  The (k, operator)
-    pairs go largest level first, and each target span
-    (``symbols._relation_span``) is dropped once no later level is a
-    multiple of its modulus.  Only when a pivot row escapes are the
-    relation rows themselves walked, to write the report.
+    pairs go largest level first, and each target is dropped once no
+    later level is a multiple of its modulus.  Only when a pivot row
+    escapes are the source's relation rows walked, to write the report;
+    a repeated index is checked and reported once.
     """
     if not ks:
         raise ValueError("need at least one operator index")
     for k in ks:
         _check_k(k)
-    codes = _coded_symbols(n, N)
-    index = {t: i for i, t in enumerate(codes)}
-    pivots = [r for _, _, r in Echelon(
-        _relations(n, N, codes, index, minus), len(codes)).pivots]
+    source = RelationMatrix(n, N, minus)
+    pivots = [r for _, _, r in source.mat.echelon().pivots]
     maps = {k: (("scale", N, _raw_sigma), ("lift", N * k, _raw_rho),
                 ("torsion_shift", lcm(k, N), _raw_e)) for k in ks}
     images = {}  # (k, operator) -> basis column -> {modulus: image part}
-    spans = {}  # modulus -> (cols, ech) of its target
+    targets = {}  # modulus -> RelationMatrix of the target
 
     def components(row, k, name, L, op):
         """The nonzero exact-modulus components of the image of row."""
@@ -611,7 +606,7 @@ def descent_failures(n, N, minus, ks):
         for j, c in row.items():
             image = cache.get(j)
             if image is None:
-                code = tuple([L // N * x for x in codes[j]])
+                code = tuple([L // N * x for x in source.codes[j]])
                 image = cache[j] = _split(op(k, L, {code: 1}), L)
             for M, part in image.items():
                 acc = parts.setdefault(M, {})
@@ -623,10 +618,9 @@ def descent_failures(n, N, minus, ks):
                 yield M, comp
 
     def inside(M, comp):
-        if M not in spans:
-            spans[M] = _relation_span(n, M, minus)
-        cols, ech = spans[M]
-        return ech.contains(_project(comp, cols))
+        if M not in targets:
+            targets[M] = RelationMatrix(n, M, minus)
+        return targets[M].holds(comp)
 
     todo = sorted(((L, k, name, op) for k, named in maps.items()
                    for name, L, op in named), key=lambda job: -job[0])
@@ -634,16 +628,16 @@ def descent_failures(n, N, minus, ks):
         if not all(inside(M, comp) for row in pivots
                    for M, comp in components(row, k, name, L, op)):
             break
-        for M in [M for M in spans
+        for M in [M for M in targets
                   if all(later % M for later, _, _, _ in todo[at + 1:])]:
-            del spans[M]
+            del targets[M]
     else:
         return []
     # a pivot row escaped: the relation rows themselves give the report
     fails = []
-    for i, r in enumerate(relation_matrix(n, N, minus).mat.rows):
-        for k in ks:
-            for name, L, op in maps[k]:
+    for i, r in enumerate(source.mat.rows):
+        for k, named in maps.items():
+            for name, L, op in named:
                 for M, comp in components(r, k, name, L, op):
                     if not inside(M, comp):
                         fails.append({"row": i, "k": k, "op": name,

@@ -24,6 +24,7 @@ legs); ``to_json``, ``repr`` and ``_entry`` print entries from codes.
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
 from math import gcd, lcm
 
@@ -400,43 +401,6 @@ def _relations(n, N, codes, index, minus):
         yield from _negation_rows(n, N, codes, index)
 
 
-def _relation_span(n, M, minus):
-    """The span of the arity-n modulus-M relation rows, for membership only.
-
-    Returns (cols, ech): cols maps each basis code to (column, sign), and
-    a vector v on the codes lies in the span of the relation rows exactly
-    when its projection P v, ``_project(v, cols)``, lies in the span of
-    ``ech``.  Without minus the columns are the codes and every sign is 1.
-    With minus they are the negation classes that are not two-torsion: a
-    code goes to its class with its sign (``_minus_rep``), a two-torsion
-    code to sign 0.  ``ech`` is built from the distinct blow-up rows of
-    ``_blowup_rows``, each projected; no negation row is made.
-
-    This is exact over Q.  P kills every negation row: a single negation
-    flips the sign within a class, and a two-torsion code has sign 0.
-    Conversely, a negation row sets a code to minus its negated code, or
-    kills a code with a self-negative entry, and single negations connect
-    each class; so modulo the negation rows every code is its sign times
-    its class's least code (zero in a two-torsion class), and the kernel
-    of P lies in their span.  Hence v is in the span of all rows iff
-    P v = P w for some w in the span of the blow-up rows, iff P v is in
-    the span of the projected blow-up rows.  The column count minus the
-    rank of ``ech`` is ``RelationMatrix(n, M, minus).quotient_rank()``.
-    """
-    codes = _coded_symbols(n, M)
-    index = {t: i for i, t in enumerate(codes)}
-    rows = _blowup_rows(n, M, codes, index)
-    if not minus:
-        return {t: (i, 1) for t, i in index.items()}, Echelon(rows, len(codes))
-    classes, cols = {}, {}
-    for t in codes:
-        rep, sign = _minus_rep(t, M)
-        cols[t] = ((classes.setdefault(rep, len(classes)), sign)
-                   if sign != TWO_TORSION else (None, 0))
-    proj = list(cols.values())
-    return cols, Echelon((_project(r, proj) for r in rows), len(classes))
-
-
 def _project(vec, cols):
     """Sum sign * c at column j over the entries (key, c) of vec, where
     ``cols[key]`` is (j, sign), dropping zeros."""
@@ -455,20 +419,72 @@ def relation_rows(n, N, minus=False):
 
 
 class RelationMatrix:
-    """Coded symbol basis plus relation rows, with rank and span queries.
+    """The arity-n modulus-N module presented by its relation rows.
 
-    The rows are those of ``_relations``: blow-up rows, then negation rows
-    if minus, on the basis columns, each distinct row once, at its first
-    occurrence.  No row is zero: its coefficients sum to 1 - k or 2.
+    ``__init__`` builds only the coded basis: ``codes``, in column order,
+    and ``index``, the column of each code.  The rest is built on first
+    use and kept:
+
+    - ``mat``, the ``SparseMat`` of the rows of ``_relations`` (blow-up
+      rows, then negation rows if minus, each distinct row once, at its
+      first occurrence), for the rows, the rank and the Smith form.  No
+      row is zero: its coefficients sum to 1 - k or 2.
+    - ``_span``, an echelon of the projected blow-up rows alone, for
+      membership (``holds`` and ``contains``).  A matrix that only
+      answers membership never builds ``mat``.
     """
 
     def __init__(self, n, N, minus=False):
         self.n, self.N, self.minus = n, N, minus
-        # the basis coded at level N, and the column of each code
-        self.codes = basis = _coded_symbols(n, N)
-        self.index = index = {t: i for i, t in enumerate(basis)}
-        self.mat = SparseMat(_relations(n, N, basis, index, minus),
-                             len(basis))
+        self.codes = _coded_symbols(n, N)
+        self.index = {t: i for i, t in enumerate(self.codes)}
+
+    @cached_property
+    def mat(self):
+        return SparseMat(_relations(self.n, self.N, self.codes, self.index,
+                                    self.minus), len(self.codes))
+
+    @cached_property
+    def _span(self):
+        """(cols, ech): the span of the relation rows, for membership only.
+
+        cols maps each basis code to (column, sign), and a vector v on the
+        codes lies in the span of the relation rows exactly when its
+        projection P v, ``_project(v, cols)``, lies in the span of
+        ``ech``.  Without minus each code is its own column, with sign 1.
+        With minus the columns are the negation classes that are not
+        two-torsion: a code goes to its class with its sign
+        (``_minus_rep``), a two-torsion code to sign 0.  ``ech`` is built
+        from the distinct blow-up rows of ``_blowup_rows``, each
+        projected; no negation row is made.
+
+        This is exact over Q.  P kills every negation row: a single
+        negation flips the sign within a class, and a two-torsion code has
+        sign 0.  Conversely, a negation row sets a code to minus its
+        negated code, or kills a code with a self-negative entry, and
+        single negations connect each class; so modulo the negation rows
+        every code is its sign times its class's least code (zero in a
+        two-torsion class), and the kernel of P lies in their span.  Hence
+        v is in the span of all rows iff P v = P w for some w in the span
+        of the blow-up rows, iff P v is in the span of the projected
+        blow-up rows.  The column count minus the rank of ``ech`` is
+        ``quotient_rank()``.
+        """
+        signed = _minus_rep if self.minus else lambda t, L: (t, 1)
+        reps, cols = {}, {}  # the column of each class, and of each code
+        for t in self.codes:
+            r, sign = signed(t, self.N)
+            cols[t] = (reps.setdefault(r, len(reps)) if sign else None, sign)
+        proj, ncols = list(cols.values()), len(reps)
+        del reps  # not held while the rows are eliminated
+        rows = _blowup_rows(self.n, self.N, self.codes, self.index)
+        return cols, Echelon((_project(r, proj) for r in rows), ncols)
+
+    def holds(self, vec):
+        """Does the vector {code: coefficient} lie in the span of the
+        relation rows?"""
+        cols, ech = self._span
+        return ech.contains(_project(vec, cols))
 
     @property
     def basis(self):
@@ -494,8 +510,9 @@ class RelationMatrix:
         return vec
 
     def contains(self, fs):
-        vec = self.vectorize(fs)
-        return vec is not None and self.mat.echelon().contains(vec)
+        """Does the formal sum lie in the span of the relation rows?"""
+        return (self.vectorize(fs) is not None
+                and self.holds({t: c for (_, t), c in fs.terms.items()}))
 
     def quotient_rank(self):
         """Dimension over Q of the presented module."""

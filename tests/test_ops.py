@@ -15,8 +15,8 @@ import pytest
 
 import birmod.ops
 from birmod import (TWO_TORSION, DeltaSum, FormalSum, QZ, RelationMatrix,
-                    Symbol, canonicalize, check_laws, delta_op,
-                    descent_failures, e_op, enumerate_symbols,
+                    Symbol, blowup_relation, canonicalize, check_laws,
+                    delta_op, descent_failures, e_op, enumerate_symbols,
                     minus_canonicalize, nabla_op, preimages, relation_rows,
                     rho_hat_op, rho_op, sigma_op, split_by_modulus, torsion)
 from birmod.linalg import Echelon
@@ -561,6 +561,38 @@ def test_report_json_shape():
     assert doc["grid"] == {"max_n": 1, "max_N": 3, "ks": [2]}
 
 
+def test_operators_send_blowup_rows_to_blowup_rows():
+    # no linear algebra: on the tuple t as given and a part P, scaling
+    # gives sigma_k r(t, P) = r(kt, P), and the lift and the torsion shift
+    # give the sum of r(t', P) over the preimages t' of t and over its
+    # shifts t' = t + s by k-torsion tuples; r(0, P) projects to zero
+    def r(t, part):
+        return (blowup_relation(t, len(part), part) if any(t)
+                else FormalSum())
+
+    def total(ts, part):
+        out = FormalSum()
+        for t in ts:
+            out = out + r(t, part)
+        return out
+
+    bad = []
+    for n, max_N in ((2, 12), (3, 5)):
+        parts = [P for m in range(2, n + 1)
+                 for P in combinations(range(n), m)]
+        for N in range(2, max_N + 1):
+            for t, P, k in product(enumerate_symbols(n, N), parts, (2, 3)):
+                row = r(t, P)
+                want = {
+                    sigma_op: r(tuple(k * a for a in t), P),
+                    rho_op: total(product(*[preimages(a, k) for a in t]), P),
+                    e_op: total((tuple(a + b for a, b in zip(t, s))
+                                 for s in product(torsion(k), repeat=n)), P)}
+                bad += [(t, P, k, op.__name__) for op, w in want.items()
+                        if op(k, row) != w]
+    assert bad == []
+
+
 def test_descent_small_cases():
     assert descent_failures(2, 4, False, (2, 3)) == []
     assert descent_failures(2, 4, True, (2, 3)) == []
@@ -575,7 +607,7 @@ def test_descent_checks_every_k_before_building(monkeypatch, minus, ks):
     # without the signed quotient has no relation rows, so a k checked
     # per row is never looked at
     built = []
-    monkeypatch.setattr(birmod.ops, "relation_matrix",
+    monkeypatch.setattr(birmod.ops, "RelationMatrix",
                         lambda *args: built.append(args))
     with pytest.raises(ValueError):
         descent_failures(1, 5, minus, ks)
@@ -617,16 +649,11 @@ def test_operators_refuse_bool_indices():
 @pytest.mark.parametrize("minus", [False, True])
 @pytest.mark.parametrize("ks", [(), [], (True,), (2, False), (2, 0)])
 def test_descent_refuses_bad_indices_before_any_rows(monkeypatch, minus, ks):
-    # an empty list would check nothing and pass; no source row, span or
-    # relation matrix is built before every index is checked
+    # an empty list would check nothing and pass; no source or target is
+    # made before every index is checked
     built = []
-
-    def record(*args):
-        built.append(args)
-        return iter(())
-
-    for name in ("_relations", "_relation_span", "relation_matrix"):
-        monkeypatch.setattr(birmod.ops, name, record)
+    monkeypatch.setattr(birmod.ops, "RelationMatrix",
+                        lambda *args: built.append(args))
     with pytest.raises(ValueError):
         descent_failures(2, 4, minus, ks)
     assert built == []
@@ -664,19 +691,43 @@ def test_descent_reports_the_rows_a_skewed_operator_moves(monkeypatch, n, N,
                                      "component": comp.to_json()})
     assert 0 < len({w["row"] for w in want}) < len(rows)
     assert descent_failures(n, N, minus, (2, 3)) == want
+    # a repeated index is checked and reported once, in first-seen order
+    assert descent_failures(n, N, minus, (2, 3, 3, 2)) == want
 
 
-def test_descent_grid_builds_no_relation_matrix(monkeypatch):
+def test_descent_grid_builds_the_source_rows_once(monkeypatch):
     # every cell of the benchmark grid descends, which is decided on a
-    # basis of the source rows against span-only targets
-    def refuse(*args):
-        raise AssertionError("built relation_matrix%r" % (args,))
+    # basis of the source rows against span-only targets: the source's
+    # rows are the one row matrix a cell builds, and a rank over Q on the
+    # same presentation eliminates them once, on the full basis columns
+    made, echelons = [], []
+    sparse, init = birmod.symbols.SparseMat, Echelon.__init__
 
-    monkeypatch.setattr(birmod.ops, "relation_matrix", refuse)
+    def recording(rows, ncols):
+        made.append(sparse(rows, ncols))
+        return made[-1]
+
+    def recording_init(self, rows, ncols):
+        init(self, rows, ncols)
+        echelons.append(self)
+
     for n in range(1, 4):
         for N in range(2, 7):
             for minus in (False, True):
-                assert descent_failures(n, N, minus, (2, 3)) == []
+                source = RelationMatrix(n, N, minus)
+                rows = source.mat.rows
+                with monkeypatch.context() as patch:
+                    patch.setattr(birmod.symbols, "SparseMat", recording)
+                    made.clear()
+                    assert descent_failures(n, N, minus, (2, 3)) == []
+                    assert [(m.ncols, m.rows) for m in made] == \
+                        [(len(source.codes), rows)]
+                    patch.setattr(Echelon, "__init__", recording_init)
+                    echelons.clear()
+                    rank = source.quotient_rank()
+                    source.invariant_factors()
+                    assert [(e.ncols, e.rank) for e in echelons] == \
+                        [(len(source.codes), len(source.codes) - rank)]
 
 
 def test_descent_expands_each_basis_code_once_per_operator(monkeypatch):

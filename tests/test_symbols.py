@@ -12,9 +12,9 @@ import pytest
 
 import birmod.symbols
 from birmod import (TWO_TORSION, FormalSum, QZ, SparseMat, blowup_relation,
-                    canonicalize, enumerate_symbols, minus_canonicalize,
+                    canonicalize, e_op, enumerate_symbols, minus_canonicalize,
                     minus_reduce, rank_q, relation_matrix, relation_rows,
-                    RelationMatrix,
+                    RelationMatrix, rho_op, sigma_op, split_by_modulus,
                     sum_from_json, symbol_from_json, symbol_from_lattice)
 
 
@@ -284,8 +284,11 @@ def test_relation_matrix_keeps_the_rows_it_built(monkeypatch):
 
     monkeypatch.setattr(birmod.symbols, "SparseMat", recording)
     m = RelationMatrix(3, 7, True)
-    assert built and len(m.mat.rows) == len(built)
-    assert all(a is b for a, b in zip(m.mat.rows, built))
+    # the rows are built on the first read of mat, not before, and kept
+    assert built == []
+    rows = m.mat.rows
+    assert built and len(rows) == len(built) and m.mat.rows is rows
+    assert all(a is b for a, b in zip(rows, built))
 
 
 def test_rank_examples():
@@ -322,7 +325,7 @@ def test_relation_span_matches_the_relation_matrix(minus):
         for M in range(2, 13):
             m = RelationMatrix(n, M, minus)
             full = m.mat.echelon()
-            cols, ech = birmod.symbols._relation_span(n, M, minus)
+            cols, ech = m._span
             assert set(cols) == set(m.codes)
             for t in m.codes:
                 j, sign = cols[t]
@@ -361,6 +364,43 @@ def test_relation_span_matches_the_relation_matrix(minus):
             for vec in units + m.mat.rows + mixes:
                 assert ech.contains(project(vec)) == full.contains(vec), \
                     (n, M, vec)
+
+
+def test_operators_send_negation_rows_to_negation_rows():
+    # the negation lemma: scaling, the lift and the torsion shift send a
+    # negation row <t> + <t with one entry negated> to components in the
+    # span of the target's negation rows, that is, on every negation
+    # orbit that is not two-torsion the signed coefficients cancel
+    signed = {}  # canonical code -> (least code of its orbit, parity)
+
+    def sign_of(key):
+        if key not in signed:
+            orbit = _negation_orbit(key[1], key[0])
+            rep = min(u for u, _ in orbit)
+            parities = [q for u, q in orbit if u == rep]
+            # two-torsion: the least code is reached at both parities
+            signed[key] = (rep, parities[0] if len(parities) == 1 else None)
+        return signed[key]
+
+    checked = 0
+    for n in range(1, 4):
+        for N in range(2, 9):
+            for s in enumerate_symbols(n, N):
+                for p in range(n):
+                    flipped = [-a if j == p else a for j, a in enumerate(s)]
+                    row = FormalSum.of(s) + FormalSum.of(flipped)
+                    for k, op in product((2, 3), (sigma_op, rho_op, e_op)):
+                        for M, comp in split_by_modulus(op(k, row)).items():
+                            sums = {}
+                            for key, c in comp.terms.items():
+                                rep, parity = sign_of(key)
+                                if parity is not None:
+                                    sums[rep] = (sums.get(rep, 0)
+                                                 + c * (-1) ** parity)
+                            checked += len(sums)
+                            assert not any(sums.values()), \
+                                (s, p, k, op.__name__, M, sums)
+    assert checked > 10000
 
 
 @lru_cache(maxsize=None)
