@@ -38,17 +38,15 @@ sorted by ``_same``: every verdict, count and sample is the one the full
 expansion gives.
 
 A descent check relies on the operators being linear.  It decides on
-the pivot rows of an echelon of the source relation rows, which span the
-same space over Q.  The source is a ``symbols.RelationMatrix``, whose
-rows are built once and also written into the report if a pivot row
-escapes.  It expands the image of each basis symbol once per (k,
-operator), split by modulus into canonical codes, and sums those images
-into the image of each pivot row.  A component that cancels is dropped;
-every other one is asked of the target ``RelationMatrix`` at its modulus
-through ``holds``, which reads the span-only echelon of the target's
-blow-up rows (on the negation classes under --minus) and never builds
-the target's rows.  A target of full rank answers each span query
-without elimination.
+rows spanning the source relation rows over Q, made one at a time from
+the span-only echelon of the source ``symbols.RelationMatrix``, which is
+also the target at modulus N.  It expands the image of each basis symbol
+once per (k, operator), split by modulus into canonical codes, and sums
+those images into the image of each row.  A component that cancels is
+dropped; every other one is asked of the target ``RelationMatrix`` at
+its modulus through ``holds``, which reads the same kind of echelon; a
+full-rank one answers without elimination.  No row matrix is built: the
+relation rows are streamed only to report an escape.
 
 One helper, ``_count``, sums every expansion by one rule: it counts each
 run's entry combinations in a ``Counter`` (so the work per combination
@@ -69,7 +67,7 @@ from operator import add
 from .qz import _check_k
 from .symbols import (RelationMatrix, TWO_TORSION, _by_modulus, _coded,
                       _coded_symbols, _dec, _entry, _level, _minus_rep,
-                      _raw_of, _sym, _wrap)
+                      _raw_of, _relations, _sym, _wrap)
 
 MAX_STORED_FAILURES = 50
 # the lift, the torsion shift and the product (through the lift of its
@@ -578,26 +576,27 @@ def descent_failures(n, N, minus, ks):
     and each component lies in the rational span of the relation rows of
     the target module.  The operators, the split by modulus and the
     target projection are linear, so this holds for every relation row
-    exactly when it holds for the pivot rows of an echelon of them, which
-    span the same space over Q; those are checked first.  A pivot row's
-    image is the sum of its coefficients times the images of its basis
-    symbols, each expanded once per (k, operator), on first use, on its
-    code at the level the public operator would pick.  The (k, operator)
-    pairs go largest level first, and each target is dropped once no
-    later level is a multiple of its modulus.  Only when a pivot row
-    escapes are the source's relation rows walked, to write the report;
-    a repeated index is checked and reported once.
+    exactly when it holds for the source's ``_spanning_rows``, which span
+    the relation rows over Q with no negation lemma: they hold the
+    negation rows, and modulo those each code is its sign times its
+    class's least code.  A row's image sums its coefficients times the
+    images of its basis symbols, each expanded once per (k, operator), on
+    first use, at the level the public operator would pick.  The source
+    is its own target at modulus N.  The (k, operator) pairs go largest
+    level first, so the largest targets are built while the fewest others
+    are held.  Only after an escape are the relation rows streamed, to
+    write the report; a repeated index is checked and reported once.
     """
     if not ks:
         raise ValueError("need at least one operator index")
     for k in ks:
         _check_k(k)
     source = RelationMatrix(n, N, minus)
-    pivots = [r for _, _, r in source.mat.echelon().pivots]
-    maps = {k: (("scale", N, _raw_sigma), ("lift", N * k, _raw_rho),
-                ("torsion_shift", lcm(k, N), _raw_e)) for k in ks}
+    jobs = [(L, k, name, op) for k in dict.fromkeys(ks) for name, L, op in
+            (("scale", N, _raw_sigma), ("lift", N * k, _raw_rho),
+             ("torsion_shift", lcm(k, N), _raw_e))]
     images = {}  # (k, operator) -> basis column -> {modulus: image part}
-    targets = {}  # modulus -> RelationMatrix of the target
+    targets = {N: source}  # modulus -> RelationMatrix of the target
 
     def components(row, k, name, L, op):
         """The nonzero exact-modulus components of the image of row."""
@@ -617,30 +616,21 @@ def descent_failures(n, N, minus, ks):
             if comp:
                 yield M, comp
 
-    def inside(M, comp):
-        if M not in targets:
-            targets[M] = RelationMatrix(n, M, minus)
-        return targets[M].holds(comp)
+    def escapes(rows, jobs):
+        """The report entry of each image component outside its target."""
+        for i, row in enumerate(rows):
+            for L, k, name, op in jobs:
+                for M, comp in components(row, k, name, L, op):
+                    if M not in targets:
+                        targets[M] = RelationMatrix(n, M, minus)
+                    if not targets[M].holds(comp):
+                        yield {"row": i, "k": k, "op": name,
+                               "target_modulus": M, "component":
+                               _wrap(comp, M, n, False).to_json()}
 
-    todo = sorted(((L, k, name, op) for k, named in maps.items()
-                   for name, L, op in named), key=lambda job: -job[0])
-    for at, (L, k, name, op) in enumerate(todo):
-        if not all(inside(M, comp) for row in pivots
-                   for M, comp in components(row, k, name, L, op)):
-            break
-        for M in [M for M in targets
-                  if all(later % M for later, _, _, _ in todo[at + 1:])]:
-            del targets[M]
-    else:
+    if next(escapes(source._spanning_rows(), sorted(jobs, reverse=True)),
+            None) is None:
         return []
-    # a pivot row escaped: the relation rows themselves give the report
-    fails = []
-    for i, r in enumerate(source.mat.rows):
-        for k, named in maps.items():
-            for name, L, op in named:
-                for M, comp in components(r, k, name, L, op):
-                    if not inside(M, comp):
-                        fails.append({"row": i, "k": k, "op": name,
-                                      "target_modulus": M, "component":
-                                      _wrap(comp, M, n, False).to_json()})
-    return fails
+    # a spanning row escaped: the relation rows themselves give the report
+    return list(escapes(_relations(n, N, source.codes, source.index, minus),
+                        jobs))

@@ -430,8 +430,8 @@ class RelationMatrix:
       first occurrence), for the rows, the rank and the Smith form.  No
       row is zero: its coefficients sum to 1 - k or 2.
     - ``_span``, an echelon of the projected blow-up rows alone, for
-      membership (``holds`` and ``contains``).  A matrix that only
-      answers membership never builds ``mat``.
+      membership (``holds``, ``contains``) and ``_spanning_rows``; it is
+      all that descent reads, and a matrix used so never builds ``mat``.
     """
 
     def __init__(self, n, N, minus=False):
@@ -479,6 +479,28 @@ class RelationMatrix:
         del reps  # not held while the rows are eliminated
         rows = _blowup_rows(self.n, self.N, self.codes, self.index)
         return cols, Echelon((_project(r, proj) for r in rows), ncols)
+
+    def _spanning_rows(self):
+        """Rows spanning the relation rows over Q, made one at a time: each
+        pivot of the ``_span`` echelon, written on the basis column of its
+        class's least code, then the negation rows if minus.
+
+        Modulo the negation rows every code is its sign times its class's
+        least code (see ``_span``), which has sign 1.  So a blow-up row
+        equals its projection written on the least codes, modulo negation
+        rows, and the pivots so written span the same space as the
+        blow-up rows modulo them.  With the negation rows added, they span
+        the relation rows, so nothing rests on the lemma that the
+        operators send negation rows to negation rows.
+        """
+        cols, ech = self._span
+        head = {}  # class column -> column of its least code, met first
+        for i, t in enumerate(self.codes):
+            head.setdefault(cols[t][0], i)
+        for _, _, r in ech.pivots:
+            yield {head[j]: c for j, c in r.items()}
+        if self.minus:
+            yield from _negation_rows(self.n, self.N, self.codes, self.index)
 
     def holds(self, vec):
         """Does the vector {code: coefficient} lie in the span of the

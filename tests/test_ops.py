@@ -19,7 +19,7 @@ from birmod import (TWO_TORSION, DeltaSum, FormalSum, QZ, RelationMatrix,
                     delta_op, descent_failures, e_op, enumerate_symbols,
                     minus_canonicalize, nabla_op, preimages, relation_rows,
                     rho_hat_op, rho_op, sigma_op, split_by_modulus, torsion)
-from birmod.linalg import Echelon
+from birmod.linalg import Echelon, SparseMat
 from birmod.ops import (_concat, _delta_sum, _raw_delta, _raw_e, _raw_rho,
                         _raw_sigma, _same)
 from birmod.symbols import _level, _raw_of, _sym
@@ -659,22 +659,27 @@ def test_descent_refuses_bad_indices_before_any_rows(monkeypatch, minus, ks):
     assert built == []
 
 
-@pytest.mark.parametrize("n, N, minus", [(2, 5, False), (2, 8, False),
-                                         (2, 11, True), (1, 7, True)])
-def test_descent_reports_the_rows_a_skewed_operator_moves(monkeypatch, n, N,
-                                                          minus):
-    # scaling by 3 also keeps each symbol with an entry coded 1, so only
-    # some rows escape; the report is rebuilt from public calls
-    raw = birmod.ops._raw_sigma
-
+def _skewed(raw, extra):
+    """raw with extra(k, t) added, times c, for each term (t, c) of sums."""
     def skewed(k, L, sums):
         out = dict(raw(k, L, sums))
         for t, c in sums.items():
-            if k == 3 and 1 in t:
-                out[t] = out.get(t, 0) + c
+            for u in extra(k, t):
+                out[u] = out.get(u, 0) + c
         return {t: c for t, c in out.items() if c}
+    return skewed
 
-    monkeypatch.setattr(birmod.ops, "_raw_sigma", skewed)
+
+# scaling by 3 also keeps each symbol with an entry coded 1, and the lift
+# by 3 (at level 3N, where 1/N is coded 3) adds a second copy of the
+# first preimage of each symbol with an entry 1/N, so only some rows escape
+_SKEWS = {"_raw_sigma": lambda k, t: [t] if k == 3 and 1 in t else [],
+          "_raw_rho": lambda k, t: ([tuple(i // k for i in t)]
+                                    if k == 3 and k in t else [])}
+
+
+def _public_report(n, N, minus):
+    """The relation rows and the descent report, from public calls."""
     targets = {}
     want = []
     rows = relation_rows(n, N, minus)
@@ -689,39 +694,77 @@ def test_descent_reports_the_rows_a_skewed_operator_moves(monkeypatch, n, N,
                         want.append({"row": i, "k": k, "op": name,
                                      "target_modulus": M,
                                      "component": comp.to_json()})
-    assert 0 < len({w["row"] for w in want}) < len(rows)
-    assert descent_failures(n, N, minus, (2, 3)) == want
-    # a repeated index is checked and reported once, in first-seen order
-    assert descent_failures(n, N, minus, (2, 3, 3, 2)) == want
+    return rows, want
 
 
-def test_descent_grid_builds_the_source_rows_once(monkeypatch):
-    # every cell of the benchmark grid descends, which is decided on a
-    # basis of the source rows against span-only targets: the source's
-    # rows are the one row matrix a cell builds, and a rank over Q on the
-    # same presentation eliminates them once, on the full basis columns
-    made, echelons = [], []
-    sparse, init = birmod.symbols.SparseMat, Echelon.__init__
+@pytest.mark.parametrize("n, N, minus", [(2, 5, False), (2, 8, False),
+                                         (2, 11, True), (1, 7, True)])
+def test_descent_reports_the_rows_a_skewed_operator_moves(monkeypatch, n, N,
+                                                          minus):
+    # the public operators call the same skewed expansion; the skewed
+    # lift escapes at level 3N
+    for raw, extra in _SKEWS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(birmod.ops, raw,
+                          _skewed(getattr(birmod.ops, raw), extra))
+            rows, want = _public_report(n, N, minus)
+            assert 0 < len({w["row"] for w in want}) < len(rows), raw
+            if raw == "_raw_rho":
+                assert {w["op"] for w in want} == {"lift"}
+            assert descent_failures(n, N, minus, (2, 3)) == want
+            # a repeated index is checked and reported once, in first-seen
+            # order
+            assert descent_failures(n, N, minus, (2, 3, 3, 2)) == want
 
-    def recording(rows, ncols):
-        made.append(sparse(rows, ncols))
-        return made[-1]
+
+def test_descent_presents_each_module_once(monkeypatch):
+    # every cell of the benchmark grid descends, and a cell builds no row
+    # matrix: it decides on rows spanning the source, made from the
+    # source's span-only echelon, and the source is its own target at N,
+    # so each module it asks is eliminated once.  A cell that escapes
+    # streams its relation rows and builds no row matrix either
+    made, echelons, asked = [], [], []
+    sparse_init, init = SparseMat.__init__, Echelon.__init__
+
+    def recording_sparse(self, rows, ncols):
+        sparse_init(self, rows, ncols)
+        made.append(self)
 
     def recording_init(self, rows, ncols):
         init(self, rows, ncols)
         echelons.append(self)
 
+    def recording_matrix(n, N, minus):
+        asked.append((n, N, minus))
+        return RelationMatrix(n, N, minus)
+
+    total = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(SparseMat, "__init__", recording_sparse)
+        patch.setattr(Echelon, "__init__", recording_init)
+        patch.setattr(birmod.ops, "RelationMatrix", recording_matrix)
+        for n in range(1, 4):
+            for N in range(2, 7):
+                for minus in (False, True):
+                    echelons.clear()
+                    asked.clear()
+                    assert descent_failures(n, N, minus, (2, 3)) == []
+                    assert asked[0] == (n, N, minus)
+                    assert len(set(asked)) == len(asked) == len(echelons)
+                    total += len(echelons)
+        assert made == []
+        assert total == 95
+        patch.setattr(birmod.ops, "_raw_sigma",
+                      _skewed(birmod.ops._raw_sigma, _SKEWS["_raw_sigma"]))
+        assert descent_failures(2, 5, False, (2, 3)) != []
+        assert made == []
+    # a rank over Q and a Smith form on one presentation eliminate its
+    # rows once, on the full basis columns
     for n in range(1, 4):
         for N in range(2, 7):
             for minus in (False, True):
                 source = RelationMatrix(n, N, minus)
-                rows = source.mat.rows
                 with monkeypatch.context() as patch:
-                    patch.setattr(birmod.symbols, "SparseMat", recording)
-                    made.clear()
-                    assert descent_failures(n, N, minus, (2, 3)) == []
-                    assert [(m.ncols, m.rows) for m in made] == \
-                        [(len(source.codes), rows)]
                     patch.setattr(Echelon, "__init__", recording_init)
                     echelons.clear()
                     rank = source.quotient_rank()

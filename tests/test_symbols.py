@@ -12,10 +12,11 @@ import pytest
 
 import birmod.symbols
 from birmod import (TWO_TORSION, FormalSum, QZ, SparseMat, blowup_relation,
-                    canonicalize, e_op, enumerate_symbols, minus_canonicalize,
-                    minus_reduce, rank_q, relation_matrix, relation_rows,
-                    RelationMatrix, rho_op, sigma_op, split_by_modulus,
-                    sum_from_json, symbol_from_json, symbol_from_lattice)
+                    canonicalize, e_op, enumerate_symbols, in_span,
+                    minus_canonicalize, minus_reduce, rank_q, relation_matrix,
+                    relation_rows, RelationMatrix, rho_op, sigma_op,
+                    split_by_modulus, sum_from_json, symbol_from_json,
+                    symbol_from_lattice)
 
 
 def S(*entries):
@@ -364,6 +365,29 @@ def test_relation_span_matches_the_relation_matrix(minus):
             for vec in units + m.mat.rows + mixes:
                 assert ech.contains(project(vec)) == full.contains(vec), \
                     (n, M, vec)
+
+
+def test_spanning_rows_span_the_relation_rows():
+    # descent decides on these rows, so they must have the row space of
+    # the relation rows over Q: under minus the pivots of the span-only
+    # echelon are written on least codes, and the negation rows are added
+    # whatever the blow-up rows do to them (at arity 1 there are no
+    # blow-up rows; at even M some classes are two-torsion)
+    two_torsion = 0
+    for n in range(1, 4):
+        for M in range(2, 13):
+            for minus in (False, True):
+                m = RelationMatrix(n, M, minus)
+                full = m.mat
+                spanning = SparseMat(list(m._spanning_rows()), full.ncols)
+                assert rank_q(spanning) == rank_q(full), (n, M, minus)
+                assert all(in_span(r, full) for r in spanning.rows)
+                assert all(in_span(r, spanning) for r in full.rows)
+                if minus and n == 1:
+                    assert spanning.rows == full.rows != []
+                two_torsion += minus and any(
+                    sign == TWO_TORSION for _, sign in m._span[0].values())
+    assert two_torsion > 0
 
 
 def test_operators_send_negation_rows_to_negation_rows():
