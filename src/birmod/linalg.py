@@ -11,19 +11,23 @@ is divided by its content.  A span query visits only the pivots whose
 columns it meets: their positions go on a heap and are popped in the
 order the pivots were found, and a reduction that brings in a later
 pivot column pushes that pivot's position.  The echelon is built by that
-same query: the rows, sparsest first (a stable sort by nnz), are each
+same query: the rows, in the order the caller gives them, are each
 reduced against the pivots found so far, and a nonzero residual becomes a
 new pivot on its last (largest) column.  So no pivot row holds an earlier
-pivot's column, and a pivot row is never updated again.  Both rules were
-measured on relation matrices (2 cores, CPython 3.11.7): unsorted, the
-(2, 199, minus) matrix took 0.95 s instead of 0.28 s; pivoting on the
-column rarest in the input instead of the last, (3, 29) took 5.1 s
-instead of 0.28 s, with twice the pivot nonzeros.  The price is denser
-pivot rows than a Markowitz elimination (sparsest row, rarest column, every
-row under the pivot updated) gives: 21740 pivot nonzeros against 10639 at
-(3, 29), in a third of the time.  Once every column holds a pivot, any
-row inside the columns is in the span: the query answers it at once, and
-the build skips the rows left.
+pivot's column, and a pivot row is never updated again.  The caller puts
+sparse rows first: ``SparseMat`` hands over its rows sorted by nnz (a
+stable sort), and a relation matrix's span-only echelon is fed its
+blow-up rows by part size, each of at most part size + 1 entries, so the
+rows stream in with no global sort.  Both rules were measured on relation
+matrices (2 cores, CPython 3.11.7): unsorted, the (2, 199, minus) matrix
+took 0.95 s instead of 0.28 s; pivoting on the column rarest in the input
+instead of the last, (3, 29) took 5.1 s instead of 0.28 s, with twice the
+pivot nonzeros.  The price is denser pivot rows than a Markowitz
+elimination (sparsest row, rarest column, every row under the pivot
+updated) gives: 21740 pivot nonzeros against 10639 at (3, 29), in a third
+of the time.  Once every column holds a pivot, any row inside the columns
+is in the span: the query answers it at once, and the build pulls no
+further row.
 
 Smith form (``snf``): primes certified by the echelon, then unit pivots
 mod a power of each, with no Euclid step and no column operation.  The
@@ -108,7 +112,13 @@ def _reduce(v, pivots, position, q=0):
 
 
 class Echelon:
-    """Pivot rows built by the span query itself, usable for span membership."""
+    """Pivot rows built by the span query itself, usable for span membership.
+
+    The rows, any iterable of sparse rows whose columns lie in [0, ncols),
+    are reduced in the order given, and pulled only until every column
+    holds a pivot.  ``SparseMat`` checks the columns of its rows; a query
+    row may leave them (``residual``).
+    """
 
     def __init__(self, rows, ncols):
         self.ncols = ncols
@@ -121,17 +131,20 @@ class Echelon:
         # the row contents, these hold every prime of an invariant factor
         self.scales = set()
         # the columns of [0, ncols) with no pivot yet; at none, every row
-        # inside them is in the span, and the rows left are skipped
+        # inside them is in the span, and no further row is pulled
         self.missing = ncols
-        for r in sorted(rows, key=len):
+        if not ncols:
+            return
+        for r in rows:
             if v := self.residual(r):
                 col = max(v)
                 self.scales.add(abs(v[col]))
                 v = _strip(v)
                 self.position[col] = len(self.pivots)
                 self.pivots.append((col, v[col], v))
-                if 0 <= col < ncols:
-                    self.missing -= 1
+                self.missing -= 1
+                if not self.missing:
+                    break
 
     @property
     def rank(self):
@@ -184,7 +197,7 @@ class SparseMat:
 
     def echelon(self):
         if self._ech is None:
-            self._ech = Echelon(self.rows, self.ncols)
+            self._ech = Echelon(sorted(self.rows, key=len), self.ncols)
         return self._ech
 
 

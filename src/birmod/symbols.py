@@ -334,19 +334,22 @@ def blowup_relation(entries, k, positions=None, modulus=None):
                  False)
 
 
-def _blowup_rows(n, N, codes, index):
-    """The distinct blow-up rows on the basis columns, each at its first
-    occurrence in code, then part, order; ``index`` maps a code to its
-    column, and ``codes[i]`` to i.
+def _blowup_rows(n, N, codes, index, sizes):
+    """The distinct blow-up rows on the basis columns whose part size is in
+    ``sizes``, each at its first occurrence in code, then part, order;
+    ``index`` maps a code to its column, and ``codes[i]`` to i.
 
     Duplicates are found by the shape of a row, with no key per row.  The
     row of code i has +1 at column i, unless a spread cancels it, and no
     other positive entry.  So a row with a positive entry can only repeat
     a row of the same code, and is compared with that code's kept rows
     alone; at arity 2 there is one part, so with none.  The few rows with
-    no positive entry (96 of the 4752 at (2, 97)) share one set.
+    no positive entry (96 of the 4752 at (2, 97)) share one set.  A row of
+    part size k has at most k + 1 entries, summing to 1 - k, so rows of
+    two part sizes never meet: the rows of one size alone are deduplicated
+    exactly.
     """
-    parts = [pos for k in range(2, n + 1)
+    parts = [pos for k in sizes
              for pos in combinations(range(n), k)]
     col = index.__getitem__
     unsigned = set()
@@ -396,7 +399,7 @@ def _relations(n, N, codes, index, minus):
     """The distinct relation rows on the basis columns, each at its first
     occurrence: blow-up rows, then negation rows if minus.  The two
     families never meet, as their coefficients sum to 1 - k and to 2."""
-    yield from _blowup_rows(n, N, codes, index)
+    yield from _blowup_rows(n, N, codes, index, range(2, n + 1))
     if minus:
         yield from _negation_rows(n, N, codes, index)
 
@@ -454,9 +457,13 @@ class RelationMatrix:
         ``ech``.  Without minus each code is its own column, with sign 1.
         With minus the columns are the negation classes that are not
         two-torsion: a code goes to its class with its sign
-        (``_minus_rep``), a two-torsion code to sign 0.  ``ech`` is built
-        from the distinct blow-up rows of ``_blowup_rows``, each
-        projected; no negation row is made.
+        (``_minus_rep``), a two-torsion code to sign 0.  ``ech`` is fed
+        the distinct blow-up rows of ``_blowup_rows`` one at a time, part
+        size by part size (every k = 2 row, then k = 3, ...), so sparse
+        rows come first with no sort, and no row is made once every
+        column holds a pivot.  With minus each row is projected; without,
+        P is the identity on the basis columns and is skipped.  No
+        negation row is made.
 
         This is exact over Q.  P kills every negation row: a single
         negation flips the sign within a class, and a two-torsion code has
@@ -475,10 +482,15 @@ class RelationMatrix:
         for t in self.codes:
             r, sign = signed(t, self.N)
             cols[t] = (reps.setdefault(r, len(reps)) if sign else None, sign)
-        proj, ncols = list(cols.values()), len(reps)
+        ncols = len(reps)
         del reps  # not held while the rows are eliminated
-        rows = _blowup_rows(self.n, self.N, self.codes, self.index)
-        return cols, Echelon((_project(r, proj) for r in rows), ncols)
+        rows = chain.from_iterable(
+            _blowup_rows(self.n, self.N, self.codes, self.index, (k,))
+            for k in range(2, self.n + 1))
+        if self.minus:
+            proj = list(cols.values())
+            rows = (_project(r, proj) for r in rows)
+        return cols, Echelon(rows, ncols)
 
     def _spanning_rows(self):
         """Rows spanning the relation rows over Q, made one at a time: each

@@ -332,6 +332,40 @@ def test_full_rank_build_skips_the_rows_left(monkeypatch):
     assert len(reduced) == 3
 
 
+@hypothesis.given(strat.one_of(matrices(8, 4),
+                               matrices(8, 4, entries=fraction_entries)),
+                  strat.data())
+# the first three rows fill every column, so the last two are never pulled
+@hypothesis.example([[0, 1, 2], [3, 0, 0], [1, 1, 1], [5, 6, 7], [0, 0, 9]],
+                    None)
+def test_streamed_echelon_stops_at_full_column_rank(rows, data):
+    m = dense(rows)
+    pulled = []
+
+    def stream():
+        for r in m.rows:
+            pulled.append(r)
+            yield r
+
+    ech = birmod.linalg.Echelon(stream(), m.ncols)
+    # the shortest prefix of full column rank, or every row
+    need = next((i for i in range(1, len(rows))
+                 if rank_q(SparseMat(m.rows[:i], m.ncols)) == m.ncols),
+                len(rows))
+    assert len(pulled) == need
+    full = m.echelon()  # the same rows, sorted sparsest first
+    assert ech.rank == full.rank
+    queries = [[int(j == i) for j in range(m.ncols)] for i in range(m.ncols)]
+    queries += rows
+    if data is not None:
+        queries += data.draw(strat.lists(
+            strat.lists(strat.one_of(small_entries, fraction_entries),
+                        min_size=m.ncols, max_size=m.ncols), max_size=3))
+    for q in queries:
+        row = {j: v for j, v in enumerate(q) if v}
+        assert ech.contains(row) == full.contains(row), (rows, row)
+
+
 @hypothesis.given(matrices())
 def test_snf_divisibility_chain(rows):
     factors = snf(dense(rows))
