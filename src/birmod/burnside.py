@@ -226,19 +226,24 @@ class RewriteRules:
     """
 
     def __init__(self, rules):
-        self.rules = {}
+        step = {}
         for src, dst in rules:
-            if src in self.rules:
+            if src in step:
                 raise ValueError("two rules for label %r" % src)
-            self.rules[src] = dst
-        for src in self.rules:
+            step[src] = dst
+        # each chain of rules is walked once, to check it for a cycle, and
+        # its end kept: a rewrite is then one lookup
+        self.rules = {}
+        for src in step:
             seen = {src}
             cur = src
-            while cur in self.rules:
-                cur = self.rules[cur]
+            while cur in step:
+                cur = step[cur]
                 if cur in seen:
                     raise ValueError("rewrite cycle through %r" % src)
                 seen.add(cur)
+            self.rules[src] = cur
+        self._sources = {}  # source label -> parse_composite of its rewrite
 
     @classmethod
     def from_json(cls, data):
@@ -250,14 +255,19 @@ class RewriteRules:
                      _string(item["to"], "a rule target")) for item in data])
 
     def apply(self, label):
-        while label in self.rules:
-            label = self.rules[label]
-        return label
+        return self.rules.get(label, label)
 
     def apply_gen(self, gen):
-        base, extra = parse_composite(self.apply(gen.source))
-        return BurnGen(base, gen.affine + extra, self.apply(gen.target),
-                       gen.dim)
+        source = gen.source
+        parsed = self._sources.get(source)
+        if parsed is None:
+            parsed = self._sources[source] = parse_composite(
+                self.apply(source))
+        base, extra = parsed
+        target = self.apply(gen.target)
+        if base == source and not extra and target == gen.target:
+            return gen
+        return BurnGen(base, gen.affine + extra, target, gen.dim)
 
     def apply_elem(self, elem):
         return BurnElem((self.apply_gen(g), c) for g, c in elem.terms.items())

@@ -40,16 +40,12 @@ def _read_json(path):
 
 def cmd_rank(args):
     rm = relation_matrix(args.n, args.N, args.minus)
-    payload = {
-        "n": args.n,
-        "N": args.N,
-        "minus": args.minus,
-        "basis": len(rm.codes),
-        "relations": rm.mat.nrows,
-        "rank": rm.quotient_rank(),
-    }
+    payload = {"n": args.n, "N": args.N, "minus": args.minus}
     if args.ring == "z":
+        # the Smith form holds every row; the Q rank then reads its echelon
         payload["invariant_factors"] = list(rm.invariant_factors())
+    payload.update(basis=len(rm.codes), relations=rm.relations,
+                   rank=rm.quotient_rank())
     if args.json:
         _emit_json(payload)
     else:

@@ -16,9 +16,10 @@ reduced against the pivots found so far, and a nonzero residual becomes a
 new pivot on its last (largest) column.  So no pivot row holds an earlier
 pivot's column, and a pivot row is never updated again.  The caller puts
 sparse rows first: ``SparseMat`` hands over its rows sorted by nnz (a
-stable sort), and a relation matrix's span-only echelon is fed its
-blow-up rows by part size, each of at most part size + 1 entries, so the
-rows stream in with no global sort.  Both rules were measured on relation
+stable sort), and a relation matrix streams its rows in with no global
+sort, the Q rank's echelon its shortest two-part rows first, the
+span-only echelon its blow-up rows by part size, each of at most part
+size + 1 entries.  Both rules were measured on relation
 matrices (2 cores, CPython 3.11.7): unsorted, the (2, 199, minus) matrix
 took 0.95 s instead of 0.28 s; pivoting on the column rarest in the input
 instead of the last, (3, 29) took 5.1 s instead of 0.28 s, with twice the
@@ -78,9 +79,10 @@ def _reduce(v, pivots, position, q=0):
     """
     heap = [position[c] for c in v if c in position]
     heapq.heapify(heap)
+    get, pop, push = v.get, heapq.heappop, heapq.heappush
     while heap:
-        col, p, prow = pivots[heapq.heappop(heap)]
-        f = v.get(col)
+        col, p, prow = pivots[pop(heap)]
+        f = get(col)
         if f is None:
             continue
         # v becomes a*v - b*prow, which clears col: a unit pivot needs
@@ -94,16 +96,28 @@ def _reduce(v, pivots, position, q=0):
             if a != 1:
                 for c in v:
                     v[c] *= a
+        if not q:
+            for c, x in prow.items():
+                y = get(c)
+                if y is None:
+                    v[c] = -b * x  # b and x are nonzero, so is this
+                    if c in position:
+                        push(heap, position[c])
+                elif y := y - b * x:
+                    v[c] = y
+                else:
+                    del v[c]
+            continue
         for c, x in prow.items():
-            y = v.get(c)
+            y = get(c)
             if y is None:
-                y = -b * x % q if q else -b * x
+                y = -b * x % q
                 if y:
                     v[c] = y
                     if c in position:
-                        heapq.heappush(heap, position[c])
+                        push(heap, position[c])
             else:
-                y = (y - b * x) % q if q else y - b * x
+                y = (y - b * x) % q
                 if y:
                     v[c] = y
                 else:
@@ -172,6 +186,9 @@ class SparseMat:
     holds a zero entry is copied without it.  Neither the echelon nor
     ``snf`` writes to a row, so the caller's rows are never changed, but a
     caller that changes a row after handing it over changes the matrix.
+    A caller already holding an echelon of the same rows, in another
+    order, may set it as ``_ech``: rank, span and ``snf`` read any such
+    echelon alike.
     """
 
     def __init__(self, rows, ncols):

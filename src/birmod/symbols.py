@@ -25,10 +25,11 @@ legs); ``to_json``, ``repr`` and ``_entry`` print entries from codes.
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import (chain, combinations, combinations_with_replacement,
+                       count)
 from math import gcd, lcm
 
-from .linalg import Echelon, SparseMat, rank_q, snf
+from .linalg import Echelon, SparseMat, snf
 from .lincomb import LinComb, _collect
 from .qz import QZ
 
@@ -334,10 +335,13 @@ def blowup_relation(entries, k, positions=None, modulus=None):
                  False)
 
 
-def _blowup_rows(n, N, codes, index, sizes):
+def _blowup_rows(n, N, codes, index, sizes, keep=None):
     """The distinct blow-up rows on the basis columns whose part size is in
     ``sizes``, each at its first occurrence in code, then part, order;
-    ``index`` maps a code to its column, and ``codes[i]`` to i.
+    ``index`` maps a code to its column, and ``codes[i]`` to i.  With
+    ``keep`` given, only the parts pos of code t with ``keep(t, pos)`` are
+    made; its verdict must depend on the row alone, such as on its length,
+    so that equal rows are kept or dropped together.
 
     Duplicates are found by the shape of a row, with no key per row.  The
     row of code i has +1 at column i, unless a spread cancels it, and no
@@ -356,6 +360,8 @@ def _blowup_rows(n, N, codes, index, sizes):
     for i, t in enumerate(codes):
         kept = []
         for pos in parts:
+            if keep is not None and not keep(t, pos):
+                continue
             row = _blowup_row(t, N, pos, col, i)
             if row.get(i) == 1:
                 if row in kept:
@@ -367,6 +373,38 @@ def _blowup_rows(n, N, codes, index, sizes):
                     continue
                 unsigned.add(key)
             yield row
+
+
+def _short_pair(t, pos):
+    """Does the part pos = (p, q) of the sorted code t give a row of at most
+    two entries?
+
+    With x = t[p] <= y = t[q], the spreads replace the pair by (x, y - x)
+    and by (x - y, y).  The first is t itself iff x = 0, the second iff
+    y = 0, and the two are equal iff x = y; otherwise the row has three
+    entries.  Since y = 0 forces x = 0, the row is short iff x is 0 or y.
+    """
+    x = t[pos[0]]
+    return not x or x == t[pos[1]]
+
+
+def _sparse_rows(n, N, codes, index):
+    """The distinct blow-up rows, sparse first, made one at a time: the
+    k = 2 rows of at most two entries, the other k = 2 rows, then part
+    size by part size, k = 3, ..., n.
+
+    The order sets the fill-in.  At (3, 43), fed every row sorted by
+    length, the echelon visits 550767 pivots and updates 3.89M entries;
+    fed the k = 2 rows in code order, 710000 and 4.46M; fed these, the
+    same as sorted, with no sort.  ``_short_pair`` finds the short rows
+    from two entries of the code, so they cost no second pass of row
+    making.
+    """
+    yield from _blowup_rows(n, N, codes, index, (2,), _short_pair)
+    yield from _blowup_rows(n, N, codes, index, (2,),
+                            lambda t, pos: not _short_pair(t, pos))
+    for k in range(3, n + 1):
+        yield from _blowup_rows(n, N, codes, index, (k,))
 
 
 def _negation_rows(n, N, codes, index):
@@ -428,10 +466,19 @@ class RelationMatrix:
     and ``index``, the column of each code.  The rest is built on first
     use and kept:
 
+    - ``_echelon``, an echelon of the relation rows on the basis columns
+      and the count of those rows (``relations``), taken in one pass over
+      rows made one at a time: the negation rows if minus, then the
+      blow-up rows of ``_sparse_rows``.  Rows left once every column holds
+      a pivot are only counted.  No row list is held; ``quotient_rank()``
+      reads it.
     - ``mat``, the ``SparseMat`` of the rows of ``_relations`` (blow-up
       rows, then negation rows if minus, each distinct row once, at its
-      first occurrence), for the rows, the rank and the Smith form.  No
-      row is zero: its coefficients sum to 1 - k or 2.
+      first occurrence), for the rows and the Smith form.  No row is
+      zero: its coefficients sum to 1 - k or 2.  Built first, its own
+      echelon serves the Q rank; built after ``_echelon``, it takes that
+      echelon, whose rank and scales certify the Smith form's primes for
+      any row order, so the rows are eliminated once either way.
     - ``_span``, an echelon of the projected blow-up rows alone, for
       membership (``holds``, ``contains``) and ``_spanning_rows``; it is
       all that descent reads, and a matrix used so never builds ``mat``.
@@ -444,8 +491,31 @@ class RelationMatrix:
 
     @cached_property
     def mat(self):
-        return SparseMat(_relations(self.n, self.N, self.codes, self.index,
-                                    self.minus), len(self.codes))
+        mat = SparseMat(_relations(self.n, self.N, self.codes, self.index,
+                                   self.minus), len(self.codes))
+        if "_echelon" in self.__dict__:
+            mat._ech = self._echelon[0]
+        return mat
+
+    @cached_property
+    def _echelon(self):
+        """(ech, relations): see the class docstring."""
+        if "mat" in self.__dict__:
+            return self.mat.echelon(), self.mat.nrows
+        n, N, codes, index = self.n, self.N, self.codes, self.index
+        rows = _sparse_rows(n, N, codes, index)
+        if self.minus:
+            rows = chain(_negation_rows(n, N, codes, index), rows)
+        pulled = count()  # advanced once per row the echelon takes
+        ech = Echelon((r for r, _ in zip(rows, pulled)), len(codes))
+        return ech, next(pulled) + sum(1 for _ in rows)
+
+    @property
+    def relations(self):
+        """The number of distinct relation rows."""
+        if "mat" in self.__dict__:
+            return self.mat.nrows
+        return self._echelon[1]
 
     @cached_property
     def _span(self):
@@ -550,7 +620,7 @@ class RelationMatrix:
 
     def quotient_rank(self):
         """Dimension over Q of the presented module."""
-        return len(self.codes) - rank_q(self.mat)
+        return len(self.codes) - self._echelon[0].rank
 
     def invariant_factors(self):
         return snf(self.mat)

@@ -140,6 +140,13 @@ def test_rewrite_rules():
     assert rules.apply("untouched") == "untouched"
     g = rules.apply_gen(BurnGen("E", 1, "Zt", 1))
     assert g == BurnGen("pt", 2, "Z", 1)
+    assert (g.source, g.affine) == ("pt", 2)
+    # a generator the rules leave alone is handed back as it is; a source
+    # spelled with an affine suffix is still split into base and exponent
+    kept = BurnGen("pt", 2, "Z", 1)
+    assert rules.apply_gen(kept) is kept
+    g = rules.apply_gen(BurnGen("pt x A^1", 0, "Z", 1))
+    assert (g.source, g.affine, g.composite) == ("pt", 1, "pt x A^1")
     with pytest.raises(ValueError):
         RewriteRules([("a", "b"), ("a", "c")])
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from birmod import (TWO_TORSION, FormalSum, QZ, SparseMat, blowup_relation,
                     canonicalize, e_op, enumerate_symbols, in_span,
                     minus_canonicalize, minus_reduce, rank_q, relation_matrix,
                     relation_rows, RelationMatrix, rho_op, sigma_op,
-                    split_by_modulus, sum_from_json, symbol_from_json,
+                    snf, split_by_modulus, sum_from_json, symbol_from_json,
                     symbol_from_lattice)
 
 
@@ -381,6 +381,78 @@ def test_span_build_streams_its_rows():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak - base < 1.5 * (kept - base)
+
+
+def test_short_pairs_are_the_short_k2_rows():
+    # the Q rank's echelon takes the k = 2 rows of at most two entries
+    # first, found from the part's entries with no row made
+    for n in range(2, 5):
+        for N in range(2, 14 - 2 * n):
+            codes = birmod.symbols._coded_symbols(n, N)
+            for t in codes:
+                for pos in combinations(range(n), 2):
+                    row = birmod.symbols._blowup_row(t, N, pos, tuple, t)
+                    assert (len(row) <= 2) == \
+                        birmod.symbols._short_pair(t, pos), (t, pos)
+
+
+def test_rank_over_q_streams_its_rows(monkeypatch):
+    # the Q rank eliminates the relation rows as they are made, with no
+    # SparseMat; it and the relation count, taken in the same pass, agree
+    # with a matrix of the rows of _relations.  Arity 1 has no blow-up
+    # rows, and some cells reach full column rank with rows left to count
+    def refuse(self, rows, ncols):
+        raise AssertionError("the Q rank built a SparseMat")
+
+    drained = 0
+    for n, top in ((1, 12), (2, 16), (3, 10), (4, 7)):
+        for N in range(2, top + 1):
+            for minus in (False, True):
+                m = RelationMatrix(n, N, minus)
+                with monkeypatch.context() as patch:
+                    patch.setattr(SparseMat, "__init__", refuse)
+                    rank, relations = m.quotient_rank(), m.relations
+                rows = list(birmod.symbols._relations(n, N, m.codes, m.index,
+                                                      minus))
+                mat = SparseMat(rows, len(m.codes))
+                assert rank == len(m.codes) - rank_q(mat), (n, N, minus)
+                assert relations == mat.nrows, (n, N, minus)
+                streamed = list(birmod.symbols._sparse_rows(n, N, m.codes,
+                                                            m.index))
+                blowups = [r for r in rows if sum(r.values()) != 2]
+                assert sorted(sorted(r.items()) for r in streamed) == \
+                    sorted(sorted(r.items()) for r in blowups), (n, N, minus)
+                drained += rank == 0 and relations > len(m.codes)
+                if n < 4:
+                    # the Smith form reads the streamed echelon
+                    assert m.invariant_factors() == snf(mat), (n, N, minus)
+    assert drained
+
+
+def test_rank_over_q_keeps_only_its_echelon(monkeypatch):
+    # the Q rank pulls its rows one at a time into one echelon, so the
+    # heap peak stays near what that echelon keeps: 1.01x at (2, 97,
+    # minus), where a row matrix and its sorted copy peaked at 2.4x
+    made = []
+    init = birmod.symbols.Echelon.__init__
+
+    def recording(self, rows, ncols):
+        init(self, rows, ncols)
+        made.append(self)
+
+    monkeypatch.setattr(birmod.symbols.Echelon, "__init__", recording)
+    m = RelationMatrix(2, 97, True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m.quotient_rank()
+        peak = tracemalloc.get_traced_memory()[1]
+        del m  # only the echelon, held in made, is left
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(made) == 1
     assert peak - base < 1.5 * (kept - base)
 
 
