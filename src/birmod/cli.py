@@ -42,7 +42,8 @@ def cmd_rank(args):
     rm = relation_matrix(args.n, args.N, args.minus)
     payload = {"n": args.n, "N": args.N, "minus": args.minus}
     if args.ring == "z":
-        # the Smith form holds every row; the Q rank then reads its echelon
+        # the Smith form holds the presenting rows; the Q rank then reads
+        # its echelon
         payload["invariant_factors"] = list(rm.invariant_factors())
     payload.update(basis=len(rm.codes), relations=rm.relations,
                    rank=rm.quotient_rank())

@@ -4,7 +4,9 @@ A matrix is a list of sparse rows (dict column -> nonzero scalar); scalars
 are ints or Fractions.
 
 Rank and span (``Echelon``): every row is scaled to a primitive integer
-row, which is harmless for ranks and row spans.  Reduction is fraction
+row, which is harmless for ranks and row spans; an integer row costs one
+``gcd`` call, and a Fraction row takes the lcm of its denominators.
+Reduction is fraction
 free: a row v with entry f under pivot p becomes (p*v - f*prow)/gcd(p, f),
 so no Fraction arithmetic happens in the inner loop, and a new pivot row
 is divided by its content.  A span query visits only the pivots whose
@@ -17,9 +19,11 @@ new pivot on its last (largest) column.  So no pivot row holds an earlier
 pivot's column, and a pivot row is never updated again.  The caller puts
 sparse rows first: ``SparseMat`` hands over its rows sorted by nnz (a
 stable sort), and a relation matrix streams its rows in with no global
-sort, the Q rank's echelon its shortest two-part rows first, the
-span-only echelon its blow-up rows by part size, each of at most part
-size + 1 entries.  Both rules were measured on relation
+sort.  It presents its module in two parts: the two-part blow-up rows,
+of at most three entries each, with the negation rows, span every
+relation row over Z, so only they are eliminated; the Q rank's echelon
+takes the shortest of them first, the span-only echelon takes them in
+code order.  Both rules were measured on relation
 matrices (2 cores, CPython 3.11.7): unsorted, the (2, 199, minus) matrix
 took 0.95 s instead of 0.28 s; pivoting on the column rarest in the input
 instead of the last, (3, 29) took 5.1 s instead of 0.28 s, with twice the
@@ -52,20 +56,28 @@ from math import gcd, lcm
 
 
 def _primitive(row):
-    """Scale a sparse row to integers and divide out the content."""
-    if all(type(v) is int for v in row.values()):
-        return _strip(row)
-    d = lcm(*[v.denominator for v in row.values()])
-    return _strip({c: int(v * d) for c, v in row.items()})
+    """Scale a sparse row to integers and divide out the content.
+
+    An integer row costs one ``gcd`` call, and is copied as it is when
+    its content is 1 and it holds no zero, else divided by that content;
+    a ``Fraction`` makes ``gcd`` raise, and the row is scaled by the lcm
+    of its denominators.
+    """
+    try:
+        g = gcd(*row.values())
+    except TypeError:
+        d = lcm(*[v.denominator for v in row.values()])
+        return _strip({c: int(v * d) for c, v in row.items()})
+    if g == 1 and all(row.values()):
+        return dict(row)
+    return {c: v // g for c, v in row.items() if v}
 
 
 def _strip(row):
-    """Divide an integer row by its content, dropping zeros."""
-    items = {c: v for c, v in row.items() if v}
-    g = gcd(*items.values())
-    if g > 1:
-        items = {c: v // g for c, v in items.items()}
-    return items
+    """Divide an integer row by its content, dropping zeros; every entry
+    comes out an int, a bool included."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items() if v}
 
 
 def _reduce(v, pivots, position, q=0):

@@ -389,22 +389,45 @@ def _short_pair(t, pos):
 
 
 def _sparse_rows(n, N, codes, index):
-    """The distinct blow-up rows, sparse first, made one at a time: the
-    k = 2 rows of at most two entries, the other k = 2 rows, then part
-    size by part size, k = 3, ..., n.
+    """The distinct k = 2 blow-up rows, sparse first, made one at a time:
+    those of at most two entries, then the others.
 
-    The order sets the fill-in.  At (3, 43), fed every row sorted by
-    length, the echelon visits 550767 pivots and updates 3.89M entries;
-    fed the k = 2 rows in code order, 710000 and 4.46M; fed these, the
-    same as sorted, with no sort.  ``_short_pair`` finds the short rows
-    from two entries of the code, so they cost no second pass of row
+    These rows, with the negation rows under minus, present the module
+    over Z: every blow-up row of a larger part is a Z-combination of
+    k = 2 rows.  Write [t] for the symbol of a tuple t in any entry order,
+    s(t, Q, i) for its spread over the part Q keeping i (entry i stays,
+    each other entry j of Q becomes t_j - t_i), and r(t, Q) for the row
+    [t] - sum over i in Q of [s(t, Q, i)].  Let P be a part of k >= 3
+    positions, p one of them, and P' the others.  For i in P', the spread
+    of u_i = s(t, P', i) over {i, p} keeping i is s(t, P, i), since
+    u_i holds t_p at p; keeping p, it is w_i, with t_i - t_p at i and
+    t_j - t_i at each other j of P'.  With v = s(t, P, p), s(v, P', i) is
+    w_i too, since (t_j - t_p) - (t_i - t_p) = t_j - t_i.  So
+
+        r(t, P') + sum over i in P' of r(u_i, {i, p}) - r(v, P')
+          = [t] - sum(i in P') [u_i]
+            + sum(i in P') ([u_i] - [s(t, P, i)] - [w_i])
+            - [v] + sum(i in P') [w_i]
+          = [t] - sum(i in P) [s(t, P, i)] = r(t, P).
+
+    A spread adds a multiple of one entry to others, so every tuple here
+    generates the group t generates, and each term is a row of the same
+    module on the column of its sorted code.  By induction on k, each
+    blow-up row is a Z-combination of k = 2 rows, and those rows span
+    the relation lattice.
+
+    The order sets the fill-in.  Fed these rows short first, the Q rank's
+    echelon visits 287716 pivots and updates 2.56M entries at (3, 43),
+    against 337304 and 2.92M in code order; at (3, 53), 688392 and 7.25M
+    against 835903 and 9.02M; at (2, 97), 15572 and 0.137M against 16154
+    and 0.145M.  At arity 4 code order is cheaper: 797025 and 1.22M
+    against 667854 and 0.95M at (4, 29).  ``_short_pair`` finds the short
+    rows from two entries of the code, so they cost no second pass of row
     making.
     """
     yield from _blowup_rows(n, N, codes, index, (2,), _short_pair)
     yield from _blowup_rows(n, N, codes, index, (2,),
                             lambda t, pos: not _short_pair(t, pos))
-    for k in range(3, n + 1):
-        yield from _blowup_rows(n, N, codes, index, (k,))
 
 
 def _negation_rows(n, N, codes, index):
@@ -455,31 +478,34 @@ def _project(vec, cols):
 
 def relation_rows(n, N, minus=False):
     """The distinct relation rows of the arity-n modulus-N module, as
-    formal sums in ``RelationMatrix`` row order."""
+    formal sums in ``_relations`` order."""
     return RelationMatrix(n, N, minus).rows
 
 
 class RelationMatrix:
     """The arity-n modulus-N module presented by its relation rows.
 
+    The module has a two-part presentation: the k = 2 blow-up rows, with
+    the negation rows if minus, span the relation lattice over Z (proof
+    at ``_sparse_rows``).  Only those rows are eliminated; the blow-up
+    rows of larger parts are made only to be counted in ``relations``,
+    and ``rows`` streams every relation row from ``_relations``.
+
     ``__init__`` builds only the coded basis: ``codes``, in column order,
     and ``index``, the column of each code.  The rest is built on first
     use and kept:
 
-    - ``_echelon``, an echelon of the relation rows on the basis columns
-      and the count of those rows (``relations``), taken in one pass over
-      rows made one at a time: the negation rows if minus, then the
-      blow-up rows of ``_sparse_rows``.  Rows left once every column holds
-      a pivot are only counted.  No row list is held; ``quotient_rank()``
-      reads it.
-    - ``mat``, the ``SparseMat`` of the rows of ``_relations`` (blow-up
-      rows, then negation rows if minus, each distinct row once, at its
-      first occurrence), for the rows and the Smith form.  No row is
-      zero: its coefficients sum to 1 - k or 2.  Built first, its own
+    - ``_echelon``, an echelon of the ``_presenting_rows`` on the basis
+      columns and the count of those rows, taken in one pass over
+      rows made one at a time: the negation rows if minus, then the k = 2
+      rows, sparse first.  Rows left once every column holds a pivot are
+      only counted.  No row list is held; ``quotient_rank()`` reads it.
+    - ``mat``, the ``SparseMat`` of the same rows, for the Smith form.  No
+      row is zero: its coefficients sum to -1 or 2.  Built first, its own
       echelon serves the Q rank; built after ``_echelon``, it takes that
       echelon, whose rank and scales certify the Smith form's primes for
       any row order, so the rows are eliminated once either way.
-    - ``_span``, an echelon of the projected blow-up rows alone, for
+    - ``_span``, an echelon of the projected k = 2 rows alone, for
       membership (``holds``, ``contains``) and ``_spanning_rows``; it is
       all that descent reads, and a matrix used so never builds ``mat``.
     """
@@ -489,33 +515,42 @@ class RelationMatrix:
         self.codes = _coded_symbols(n, N)
         self.index = {t: i for i, t in enumerate(self.codes)}
 
+    def _presenting_rows(self):
+        """The rows that present the module over Z, made one at a time:
+        the negation rows if minus, then ``_sparse_rows``."""
+        args = self.n, self.N, self.codes, self.index
+        if self.minus:
+            yield from _negation_rows(*args)
+        yield from _sparse_rows(*args)
+
     @cached_property
     def mat(self):
-        mat = SparseMat(_relations(self.n, self.N, self.codes, self.index,
-                                   self.minus), len(self.codes))
+        mat = SparseMat(self._presenting_rows(), len(self.codes))
         if "_echelon" in self.__dict__:
             mat._ech = self._echelon[0]
         return mat
 
     @cached_property
     def _echelon(self):
-        """(ech, relations): see the class docstring."""
+        """(ech, presenting rows): see the class docstring."""
         if "mat" in self.__dict__:
             return self.mat.echelon(), self.mat.nrows
-        n, N, codes, index = self.n, self.N, self.codes, self.index
-        rows = _sparse_rows(n, N, codes, index)
-        if self.minus:
-            rows = chain(_negation_rows(n, N, codes, index), rows)
+        rows = self._presenting_rows()
         pulled = count()  # advanced once per row the echelon takes
-        ech = Echelon((r for r, _ in zip(rows, pulled)), len(codes))
+        ech = Echelon((r for r, _ in zip(rows, pulled)), len(self.codes))
         return ech, next(pulled) + sum(1 for _ in rows)
 
-    @property
+    @cached_property
     def relations(self):
-        """The number of distinct relation rows."""
-        if "mat" in self.__dict__:
-            return self.mat.nrows
-        return self._echelon[1]
+        """The number of distinct relation rows: the presenting rows, and
+        the blow-up rows of larger parts, made here only to be counted,
+        one part size at a time.  Rows of two part sizes never meet
+        (``_blowup_rows``)."""
+        presenting = (self.mat.nrows if "mat" in self.__dict__
+                      else self._echelon[1])
+        args = self.n, self.N, self.codes, self.index
+        return presenting + sum(1 for k in range(3, self.n + 1)
+                                for _ in _blowup_rows(*args, (k,)))
 
     @cached_property
     def _span(self):
@@ -528,12 +563,11 @@ class RelationMatrix:
         With minus the columns are the negation classes that are not
         two-torsion: a code goes to its class with its sign
         (``_minus_rep``), a two-torsion code to sign 0.  ``ech`` is fed
-        the distinct blow-up rows of ``_blowup_rows`` one at a time, part
-        size by part size (every k = 2 row, then k = 3, ...), so sparse
-        rows come first with no sort, and no row is made once every
-        column holds a pivot.  With minus each row is projected; without,
-        P is the identity on the basis columns and is skipped.  No
-        negation row is made.
+        the distinct k = 2 rows of ``_blowup_rows`` one at a time, which
+        span every blow-up row (``_sparse_rows``), and no row is made once
+        every column holds a pivot.  With minus each row is projected;
+        without, P is the identity on the basis columns and is skipped.
+        No negation row is made.
 
         This is exact over Q.  P kills every negation row: a single
         negation flips the sign within a class, and a two-torsion code has
@@ -544,7 +578,7 @@ class RelationMatrix:
         two-torsion class), and the kernel of P lies in their span.  Hence
         v is in the span of all rows iff P v = P w for some w in the span
         of the blow-up rows, iff P v is in the span of the projected
-        blow-up rows.  The column count minus the rank of ``ech`` is
+        k = 2 rows.  The column count minus the rank of ``ech`` is
         ``quotient_rank()``.
         """
         signed = _minus_rep if self.minus else lambda t, L: (t, 1)
@@ -554,9 +588,7 @@ class RelationMatrix:
             cols[t] = (reps.setdefault(r, len(reps)) if sign else None, sign)
         ncols = len(reps)
         del reps  # not held while the rows are eliminated
-        rows = chain.from_iterable(
-            _blowup_rows(self.n, self.N, self.codes, self.index, (k,))
-            for k in range(2, self.n + 1))
+        rows = _blowup_rows(self.n, self.N, self.codes, self.index, (2,))
         if self.minus:
             proj = list(cols.values())
             rows = (_project(r, proj) for r in rows)
@@ -597,11 +629,12 @@ class RelationMatrix:
 
     @property
     def rows(self):
-        """The relation rows as formal sums, in matrix row order."""
+        """Every distinct relation row as a formal sum, in ``_relations``
+        order."""
         N, codes = self.N, self.codes
         return [_coded((((N, codes[i]), c) for i, c in r.items()), self.n,
                        False)
-                for r in self.mat.rows]
+                for r in _relations(self.n, N, codes, self.index, self.minus)]
 
     def vectorize(self, fs):
         """Coordinates of a formal sum over the basis; None if it leaves it."""

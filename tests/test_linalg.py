@@ -140,6 +140,48 @@ def dense_smith_reference(rows, n):
     return tuple(diag)
 
 
+# entries of every kind a row may hold: ints (zeros too), Fractions,
+# int-valued Fractions and bools
+row_entries = strat.one_of(
+    strat.integers(min_value=-12, max_value=12),
+    strat.fractions(min_value=-5, max_value=5, max_denominator=12),
+    strat.integers(min_value=-6, max_value=6).map(Fraction),
+    strat.booleans())
+
+
+@hypothesis.given(strat.dictionaries(strat.integers(0, 6), row_entries),
+                  strat.sampled_from([1, 1, 2, 3, 6, Fraction(1, 4)]))
+def test_primitive_matches_a_fraction_reference(row, scale):
+    # content > 1 (and a quarter) by scaling; a scale of 1 keeps bools
+    if scale != 1:
+        row = {c: v * scale for c, v in row.items()}
+    got = birmod.linalg._primitive(row)
+    # the reference: the unique integer row with content 1 and no zero
+    # that is a positive rational multiple of row
+    support = {c: Fraction(v) for c, v in row.items() if v}
+    assert set(got) == set(support)
+    assert all(isinstance(x, int) for x in got.values())
+    if support:
+        assert gcd(*got.values()) == 1
+        ratios = {Fraction(got[c]) / v for c, v in support.items()}
+        assert len(ratios) == 1 and ratios.pop() > 0
+    assert got is not row
+
+
+@hypothesis.given(strat.lists(strat.dictionaries(
+    strat.integers(0, 4), strat.one_of(strat.booleans(),
+                                       strat.integers(-3, 3)),
+    max_size=5), max_size=6))
+def test_no_bool_reaches_a_pivot_row(rows):
+    # gcd accepts bools, so an all-bool row takes the integer path
+    ech = birmod.linalg.Echelon(rows, 5)
+    for _, p, prow in ech.pivots:
+        assert type(p) is int
+        assert all(type(v) is int for v in prow.values())
+    assert ech.rank == rank_q(SparseMat([{c: int(v) for c, v in r.items()}
+                                         for r in rows], 5))
+
+
 def test_rank_examples():
     assert rank_q(dense([[1, 0], [0, 1]])) == 2
     assert rank_q(dense([[1, 2], [2, 4]])) == 1

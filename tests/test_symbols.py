@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
+from math import gcd, lcm
 from random import Random
 import tracemalloc
 
@@ -117,6 +117,16 @@ def test_formal_sum_refuses_float_and_bool_coefficients():
         with pytest.raises(TypeError):
             FormalSum.of(S("1/2")).scale(c)
     assert FormalSum.of(S("1/2")).scale(Fraction(1, 10)).rational
+
+
+def test_scale_is_rational_exactly_when_a_coefficient_leaves_z():
+    x = FormalSum.of(S("1/3", "1/2"))
+    half = x.scale(Fraction(1, 2))
+    assert half.rational and dict(half.items()) == {S("1/3", "1/2"):
+                                                    Fraction(1, 2)}
+    for c in (2, Fraction(2), Fraction(4, 2), -1):
+        assert not x.scale(c).rational, c
+    assert x.to_rational().scale(2).rational
 
 
 def test_sums_whose_codes_agree_at_different_moduli_differ():
@@ -249,8 +259,16 @@ def test_relation_rows_match_qz_reference(minus):
         m = RelationMatrix(n, N, minus)
         assert m.basis == basis
         col = {s: i for i, s in enumerate(basis)}
-        assert m.mat.rows == [{col[s]: c for s, c in r.items()}
-                              for r in rows]
+        coded = [{col[s]: c for s, c in r.items()} for r in rows]
+        assert list(birmod.symbols._relations(n, N, m.codes, m.index,
+                                              minus)) == coded
+        # the matrix holds the k = 2 rows (coefficient sum -1) and the
+        # negation rows (sum 2), negation rows first
+        presenting = [r for r in coded if sum(r.values()) in (-1, 2)]
+        assert sorted(sorted(r.items()) for r in m.mat.rows) == \
+            sorted(sorted(r.items()) for r in presenting)
+        assert [sum(r.values()) for r in m.mat.rows] == \
+            sorted((sum(r.values()) for r in presenting), reverse=True)
 
 
 @pytest.mark.parametrize("minus", [False, True])
@@ -320,14 +338,17 @@ def _negation_orbit(t, N):
 
 @pytest.mark.parametrize("minus", [False, True])
 def test_relation_span_matches_the_relation_matrix(minus):
-    # the span-only target against the full relation matrix: the column
-    # map is checked on negation orbits and the projection written here;
-    # arity 4 feeds the echelon three part-size batches, k = 2, 3, 4
+    # the span-only target, fed the k = 2 rows alone, against a matrix of
+    # every relation row: the column map is checked on negation orbits
+    # and the projection written here; at arity 4 the k = 3 and k = 4
+    # rows it never sees are queried
     rng = Random(20261020)
     for n, top in ((1, 12), (2, 12), (3, 12), (4, 6)):
         for M in range(2, top + 1):
             m = RelationMatrix(n, M, minus)
-            full = m.mat.echelon()
+            rows = list(birmod.symbols._relations(n, M, m.codes, m.index,
+                                                  minus))
+            full = SparseMat(rows, len(m.codes)).echelon()
             cols, ech = m._span
             assert set(cols) == set(m.codes)
             for t in m.codes:
@@ -356,7 +377,7 @@ def test_relation_span_matches_the_relation_matrix(minus):
             mixes = []
             for _ in range(50):
                 vec = {}
-                for r in rng.sample(m.mat.rows, min(3, len(m.mat.rows))):
+                for r in rng.sample(rows, min(3, len(rows))):
                     f = rng.randint(-3, 3)
                     for i, c in r.items():
                         vec[i] = vec.get(i, 0) + f * c
@@ -364,7 +385,7 @@ def test_relation_span_matches_the_relation_matrix(minus):
                     i = rng.randrange(len(m.codes))
                     vec[i] = vec.get(i, 0) + rng.choice((-2, -1, 1, 2))
                 mixes.append({i: c for i, c in vec.items() if c})
-            for vec in units + m.mat.rows + mixes:
+            for vec in units + rows + mixes:
                 assert ech.contains(project(vec)) == full.contains(vec), \
                     (n, M, vec)
 
@@ -397,10 +418,76 @@ def test_short_pairs_are_the_short_k2_rows():
                         birmod.symbols._short_pair(t, pos), (t, pos)
 
 
+# The two-part presentation rests on this identity (proof at
+# symbols._sparse_rows): with p the largest position of a part P of
+# k >= 3 positions and P' = P - {p},
+#   r(t, P) = r(t, P') + sum over i in P' of r(s(t, P', i), {i, p})
+#             - r(s(t, P, p), P').
+# The rows are built here from the definition, on tuples mod N in any
+# entry order, sharing no code with _blowup_row.
+
+def _spread(t, part, i, N):
+    """t with entry i kept and each other entry j of part made t_j - t_i."""
+    return tuple((t[j] - t[i]) % N if j in part and j != i else t[j]
+                 for j in range(len(t)))
+
+
+def _definition_row(t, part, N):
+    """The blow-up row of t and part: <t> minus its spreads over part."""
+    row = {}
+    for u, c in [(t, 1)] + [(_spread(t, part, i, N), -1) for i in part]:
+        key = tuple(sorted(u))
+        row[key] = row.get(key, 0) + c
+    return row
+
+
+def _identity_defect(t, part, N):
+    """Both sides of the identity subtracted, with zeros dropped; and
+    whether every tuple in it generates the group t generates."""
+    p, rest = max(part), tuple(sorted(part))[:-1]
+    terms = [(t, part, -1), (t, rest, 1),
+             (_spread(t, part, p, N), rest, -1)]
+    terms += [(_spread(t, rest, i, N), (i, p), 1) for i in rest]
+    total = {}
+    for u, q, c in terms:
+        for key, x in _definition_row(u, q, N).items():
+            total[key] = total.get(key, 0) + c * x
+    same_group = all(gcd(N, *u) == gcd(N, *t) for u, _, _ in terms)
+    return {key: x for key, x in total.items() if x}, same_group
+
+
+def test_every_blowup_row_is_a_sum_of_k2_rows():
+    cases = 0
+    for n, top in ((3, 12), (4, 8), (5, 6)):
+        for N in range(2, top + 1):
+            for t in combinations_with_replacement(range(N), n):
+                if gcd(N, *t) != 1:
+                    continue
+                for k in range(3, n + 1):
+                    for part in combinations(range(n), k):
+                        assert _identity_defect(t, part, N) == ({}, True), \
+                            (t, part, N)
+                        cases += 1
+    assert cases > 5000
+
+
+@hypothesis.given(strat.integers(min_value=3, max_value=6).flatmap(
+    lambda n: strat.tuples(
+        strat.integers(min_value=2, max_value=40).flatmap(
+            lambda N: strat.tuples(strat.just(N), strat.lists(
+                strat.integers(min_value=0, max_value=N - 1),
+                min_size=n, max_size=n))),
+        strat.sets(strat.integers(min_value=0, max_value=n - 1),
+                   min_size=3))))
+def test_blowup_identity_on_unsorted_tuples(case):
+    (N, t), part = case
+    assert _identity_defect(tuple(t), tuple(sorted(part)), N) == ({}, True)
+
+
 def test_rank_over_q_streams_its_rows(monkeypatch):
-    # the Q rank eliminates the relation rows as they are made, with no
-    # SparseMat; it and the relation count, taken in the same pass, agree
-    # with a matrix of the rows of _relations.  Arity 1 has no blow-up
+    # the Q rank eliminates the k = 2 and negation rows as they are made,
+    # with no SparseMat; it, the relation count and the Smith form agree
+    # with a matrix of every row of _relations.  Arity 1 has no blow-up
     # rows, and some cells reach full column rank with rows left to count
     def refuse(self, rows, ncols):
         raise AssertionError("the Q rank built a SparseMat")
@@ -420,12 +507,13 @@ def test_rank_over_q_streams_its_rows(monkeypatch):
                 assert relations == mat.nrows, (n, N, minus)
                 streamed = list(birmod.symbols._sparse_rows(n, N, m.codes,
                                                             m.index))
-                blowups = [r for r in rows if sum(r.values()) != 2]
+                blowups = [r for r in rows if sum(r.values()) == -1]
                 assert sorted(sorted(r.items()) for r in streamed) == \
                     sorted(sorted(r.items()) for r in blowups), (n, N, minus)
                 drained += rank == 0 and relations > len(m.codes)
                 if n < 4:
-                    # the Smith form reads the streamed echelon
+                    # the Smith form of the k = 2 and negation rows reads
+                    # the streamed echelon
                     assert m.invariant_factors() == snf(mat), (n, N, minus)
     assert drained
 
@@ -467,7 +555,8 @@ def test_spanning_rows_span_the_relation_rows():
         for M in range(2, 13):
             for minus in (False, True):
                 m = RelationMatrix(n, M, minus)
-                full = m.mat
+                full = SparseMat(list(birmod.symbols._relations(
+                    n, M, m.codes, m.index, minus)), len(m.codes))
                 spanning = SparseMat(list(m._spanning_rows()), full.ncols)
                 assert rank_q(spanning) == rank_q(full), (n, M, minus)
                 assert all(in_span(r, full) for r in spanning.rows)
@@ -563,6 +652,22 @@ def test_minus_reduce_kills_negation_differences(s):
     assert minus_reduce(fs).is_zero()
 
 
+def test_minus_reduce_writes_each_class_at_its_least_representative():
+    # <2/3> is -<1/3>; <1/2> is two-torsion and collapses
+    ones = FormalSum({S("2/3"): 3, S("1/2"): 7, S("1/3"): 2}, rational=True)
+    assert minus_reduce(ones) == FormalSum({S("1/3"): -1}, rational=True)
+    # <1/5, 3/5> is -<1/5, 2/5> (one entry flipped), <3/5, 4/5> is
+    # +<1/5, 2/5> (two flipped), each at its own modulus; <0, 1/2> and
+    # <1/4, 1/2> hold an entry that is its own negative and collapse
+    twos = FormalSum({S("1/5", "3/5"): 1, S("3/5", "4/5"): 5,
+                      S("0", "1/2"): 1, S("1/4", "1/2"): -2,
+                      S("3/4", "1/3"): 1}, rational=True)
+    assert minus_reduce(twos) == FormalSum(
+        {S("1/5", "2/5"): 4, S("1/4", "1/3"): -1}, rational=True)
+    assert minus_reduce(FormalSum({S("1/3"): 1, S("2/3"): 1},
+                                  rational=True)).is_zero()
+
+
 # Oracles that share no code with linalg: classical closed forms for the
 # arity-2 ranks at prime N, and a machine-int rank over F_p for the Smith
 # form.
@@ -619,6 +724,8 @@ def test_smith_form_against_rank_mod_p(n, N, minus):
     factors = m.invariant_factors()
     rank = len(m.basis) - m.quotient_rank()
     assert len(factors) == rank
+    # every relation row, where the Smith form reads the k = 2 rows alone
+    rows = list(birmod.symbols._relations(n, N, m.codes, m.index, minus))
     for p in (2, 3):
         assert sum(1 for d in factors if d % p == 0) \
-            == rank - rank_mod(m.mat.rows, p)
+            == rank - rank_mod(rows, p)
