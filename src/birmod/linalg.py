@@ -143,7 +143,9 @@ class Echelon:
     The rows, any iterable of sparse rows whose columns lie in [0, ncols),
     are reduced in the order given, and pulled only until every column
     holds a pivot.  ``SparseMat`` checks the columns of its rows; a query
-    row may leave them (``residual``).
+    row may leave them (``residual``).  ``origins[i]`` is the ordinal, from
+    0 in the order pulled, of the row that made pivot i: those rows alone
+    span every row pulled.
     """
 
     def __init__(self, rows, ncols):
@@ -152,6 +154,7 @@ class Echelon:
         # Each pivot row is free of all earlier pivot columns, so forward
         # reduction in this order is a valid membership test.
         self.pivots = []
+        self.origins = []
         self.position = {}
         # |pivot| of each residual before its content is divided out: with
         # the row contents, these hold every prime of an invariant factor
@@ -161,13 +164,14 @@ class Echelon:
         self.missing = ncols
         if not ncols:
             return
-        for r in rows:
+        for i, r in enumerate(rows):
             if v := self.residual(r):
                 col = max(v)
                 self.scales.add(abs(v[col]))
                 v = _strip(v)
                 self.position[col] = len(self.pivots)
                 self.pivots.append((col, v[col], v))
+                self.origins.append(i)
                 self.missing -= 1
                 if not self.missing:
                     break

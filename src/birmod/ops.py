@@ -38,13 +38,18 @@ sorted by ``_same``: every verdict, count and sample is the one the full
 expansion gives.
 
 A descent check relies on the operators being linear.  It decides on
-rows spanning the source relation rows over Q, made one at a time from
-the span-only echelon of the source ``symbols.RelationMatrix``, which is
-also the target at modulus N.  It expands the image of each basis symbol
-once per (k, operator), split by modulus into canonical codes, and sums
-those images into the image of each row.  A component that cancels is
-dropped; every other one is asked of the target ``RelationMatrix`` at
-its modulus through ``holds``, which reads the same kind of echelon; a
+rows spanning the source relation rows over Q: the k = 2 rows that made
+the pivots of the span-only echelon of the source
+``symbols.RelationMatrix``, and the negation rows if minus.  It expands
+the image of each basis symbol once per (k, operator) into ordered
+tuples.  Each operator is first checked to commute, on sorted tuples,
+with the spread or negation that makes each of those rows; if every
+check holds, the image of each row is a sum of target relation rows and
+no target is built.  Only where a check fails are the images split by
+modulus into canonical codes and summed into the image of each row.  A
+component that cancels is dropped; every other one is asked of the
+target ``RelationMatrix`` at its modulus through ``holds``, which reads
+the same kind of echelon (the source is the target at modulus N); a
 full-rank one answers without elimination.  No row matrix is built: the
 relation rows are streamed only to report an escape.
 
@@ -568,6 +573,58 @@ def _split(sums, L):
     return out
 
 
+def _maps(pos):
+    """The maps of a spanning row of part pos, each as (a, b, c): entry b
+    of a tuple becomes c * t_b - t_a.  A part of two positions has the
+    spreads keeping either entry a (b the other, c = 1), a part of one
+    the negation of its entry (b = a, c = 0)."""
+    if len(pos) == 1:
+        return [(pos[0], pos[0], 0)]
+    p, q = pos
+    return [(p, q, 1), (q, p, 1)]
+
+
+def _commutes(source, generators, L, image):
+    """Does an operator commute with the maps of every generator?
+
+    ``generators`` are origins (i, pos) from ``_spanning_rows``, and
+    ``image(j)`` is the raw image of basis code j at level L: its ordered
+    tuples with their multiplicities.  For each generator and each of its
+    ``_maps``, the map applied to every tuple of the image of code i must
+    give the sorted form (each tuple sorted, the all-zero tuple dropped)
+    of the image of code j, the sorted code the map sends code i to.  See
+    ``descent_failures`` for why this suffices.
+
+    A map sends only the all-zero tuple to it, and distinct tuples to
+    distinct tuples, as does the permutation of positions that sorts the
+    moved code.  So the mapped and permuted tuples of code i, kept in
+    order, are a dict with no term to merge; if it equals the nonzero
+    part of the image of code j, as it does for an operator acting entry
+    by entry, the sorted forms are equal too.  Only otherwise are both
+    sides sorted, which decides.
+    """
+    N, codes, index = source.N, source.codes, source.index
+    nonzero = {}  # basis column -> its image without the all-zero tuple
+    for i, pos in generators:
+        t = codes[i]
+        for a, b, c in _maps(pos):
+            u = list(t)
+            u[b] = (c * t[b] - t[a]) % N
+            order = sorted(range(len(u)), key=u.__getitem__)
+            u.sort()
+            j = index[tuple(u)]
+            for col in i, j:
+                if col not in nonzero:
+                    nonzero[col] = _proj(image(col))
+            got = {}
+            for v, m in nonzero[i].items():
+                w = v[:b] + ((c * v[b] - v[a]) % L,) + v[b + 1:]
+                got[tuple([w[x] for x in order])] = m
+            if not _same(got, nonzero[j]):
+                return False
+    return True
+
+
 def descent_failures(n, N, minus, ks):
     """Relation vectors whose operator images leave the relation span.
 
@@ -576,16 +633,43 @@ def descent_failures(n, N, minus, ks):
     and each component lies in the rational span of the relation rows of
     the target module.  The operators, the split by modulus and the
     target projection are linear, so this holds for every relation row
-    exactly when it holds for the source's ``_spanning_rows``, which span
-    the relation rows over Q with no negation lemma: they hold the
-    negation rows, and modulo those each code is its sign times its
-    class's least code.  A row's image sums its coefficients times the
-    images of its basis symbols, each expanded once per (k, operator), on
-    first use, at the level the public operator would pick.  The source
-    is its own target at modulus N.  The (k, operator) pairs go largest
-    level first, so the largest targets are built while the fewest others
-    are held.  Only after an escape are the relation rows streamed, to
-    write the report; a repeated index is checked and reported once.
+    exactly when it holds for the source's ``_spanning_rows``: the k = 2
+    rows that made the pivots of its span-only echelon, and the negation
+    rows if minus, which span the relation rows over Q with no negation
+    lemma.  A row's image sums its coefficients times the images of its
+    basis symbols, each expanded once per (k, operator), on first use, at
+    the level L the public operator would pick, into ordered level-L
+    tuples.
+
+    Each (k, operator) is first tried by a commutation certificate
+    (``_commutes``), which builds no target.  Write [v] for the symbol of
+    a level-L tuple v in any entry order at its modulus, or 0 when v is
+    all zero, op(t) for the raw image of code t, a sum of m_v * v, and
+    s_a for the spread of a part {p, q} keeping entry a.  The spanning
+    row of code t and part {p, q} is r(t) = [t] - [s_p t] - [s_q t], and
+    its image is [op(t)] - [op(s_p t)] - [op(s_q t)], with op of a moved
+    code taken on its sorted code.  If [s_a op(t)] = [op(s_a t)] for
+    a = p and a = q, the check, then the image equals the sum over v of
+    m_v * ([v] - [s_p v] - [s_q v]).  Each term is zero when v = 0, and
+    else the blow-up row of v and the part {p, q} in the target at the
+    modulus of v: a spread adds a multiple of one entry to another, so
+    s_p v and s_q v generate the group v generates.  A negation row
+    [t] + [n_p t], with n_p negating entry p, is checked with n_p in
+    place of s_a, and its image is then a sum of negation rows
+    m_v * ([v] + [n_p v]).  So each modulus component of the image is a
+    sum of target relation rows, and lies in their span.  Nothing here
+    rests on what the operator does to a tuple, skewed or not: a row's
+    image is by definition the sum of its codes' images, and the sum
+    above is made of relation rows.  A certificate only proves, so it
+    never writes a report.
+
+    When any check fails, the span route decides: each component is
+    asked of the target ``RelationMatrix`` at its modulus through
+    ``holds``, built on first use (the source is its own target at
+    modulus N), with the (k, operator) pairs largest level first, so the
+    largest targets are built while the fewest others are held.  Only
+    after an escape are the relation rows streamed, to write the report;
+    a repeated index is checked and reported once.
     """
     if not ks:
         raise ValueError("need at least one operator index")
@@ -595,19 +679,38 @@ def descent_failures(n, N, minus, ks):
     jobs = [(L, k, name, op) for k in dict.fromkeys(ks) for name, L, op in
             (("scale", N, _raw_sigma), ("lift", N * k, _raw_rho),
              ("torsion_shift", lcm(k, N), _raw_e))]
-    images = {}  # (k, operator) -> basis column -> {modulus: image part}
-    targets = {N: source}  # modulus -> RelationMatrix of the target
 
-    def components(row, k, name, L, op):
+    def expander(L, k, op):
+        """The memoised raw image of each basis column under one job."""
+        cache = {}
+
+        def image(j):
+            raw = cache.get(j)
+            if raw is None:
+                code = tuple([L // N * x for x in source.codes[j]])
+                raw = cache[j] = op(k, L, {code: 1})
+            return raw
+        return image
+
+    images = {(k, name): expander(L, k, op) for L, k, name, op in jobs}
+    generators = [(i, pos) for i, pos, _ in source._spanning_rows()]
+    if all(_commutes(source, generators, L, images[k, name])
+           for L, k, name, _ in jobs):
+        return []
+
+    targets = {N: source}  # modulus -> RelationMatrix of the target
+    splits = {}  # (k, operator) -> basis column -> {modulus: image part}
+
+    def components(row, k, name, L):
         """The nonzero exact-modulus components of the image of row."""
-        cache = images.setdefault((k, name), {})
+        image = images[k, name]
+        cache = splits.setdefault((k, name), {})
         parts = {}
         for j, c in row.items():
-            image = cache.get(j)
-            if image is None:
-                code = tuple([L // N * x for x in source.codes[j]])
-                image = cache[j] = _split(op(k, L, {code: 1}), L)
-            for M, part in image.items():
+            split = cache.get(j)
+            if split is None:
+                split = cache[j] = _split(image(j), L)
+            for M, part in split.items():
                 acc = parts.setdefault(M, {})
                 for t, x in part.items():
                     acc[t] = acc.get(t, 0) + c * x
@@ -619,8 +722,8 @@ def descent_failures(n, N, minus, ks):
     def escapes(rows, jobs):
         """The report entry of each image component outside its target."""
         for i, row in enumerate(rows):
-            for L, k, name, op in jobs:
-                for M, comp in components(row, k, name, L, op):
+            for L, k, name, _ in jobs:
+                for M, comp in components(row, k, name, L):
                     if M not in targets:
                         targets[M] = RelationMatrix(n, M, minus)
                     if not targets[M].holds(comp):
@@ -628,8 +731,8 @@ def descent_failures(n, N, minus, ks):
                                "target_modulus": M, "component":
                                _wrap(comp, M, n, False).to_json()}
 
-    if next(escapes(source._spanning_rows(), sorted(jobs, reverse=True)),
-            None) is None:
+    spanning = (row for _, _, row in source._spanning_rows())
+    if next(escapes(spanning, sorted(jobs, reverse=True)), None) is None:
         return []
     # a spanning row escaped: the relation rows themselves give the report
     return list(escapes(_relations(n, N, source.codes, source.index, minus),

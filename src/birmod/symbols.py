@@ -335,13 +335,15 @@ def blowup_relation(entries, k, positions=None, modulus=None):
                  False)
 
 
-def _blowup_rows(n, N, codes, index, sizes, keep=None):
+def _blowup_rows(n, N, codes, index, sizes, keep=None, made=None):
     """The distinct blow-up rows on the basis columns whose part size is in
     ``sizes``, each at its first occurrence in code, then part, order;
     ``index`` maps a code to its column, and ``codes[i]`` to i.  With
     ``keep`` given, only the parts pos of code t with ``keep(t, pos)`` are
     made; its verdict must depend on the row alone, such as on its length,
-    so that equal rows are kept or dropped together.
+    so that equal rows are kept or dropped together.  With ``made`` given,
+    the origin (i, pos) of each row is appended to it as the row is
+    yielded.
 
     Duplicates are found by the shape of a row, with no key per row.  The
     row of code i has +1 at column i, unless a spread cancels it, and no
@@ -372,6 +374,8 @@ def _blowup_rows(n, N, codes, index, sizes, keep=None):
                 if key in unsigned:
                     continue
                 unsigned.add(key)
+            if made is not None:
+                made.append((i, pos))
             yield row
 
 
@@ -430,14 +434,16 @@ def _sparse_rows(n, N, codes, index):
                             lambda t, pos: not _short_pair(t, pos))
 
 
-def _negation_rows(n, N, codes, index):
+def _negation_rows(n, N, codes, index, made=None):
     """The distinct negation rows on the basis columns, in code order.
 
     Negating one entry of code i gives code j; the row is {j: 1, i: 1},
     or {i: 2} when the entry is its own negative.  Negation is an
     involution, so the pair {i, j} is also met from j: it is kept only
     from min(i, j).  Equal entries give the same j, and every entry that
-    is its own negative gives i itself, so each is taken once.
+    is its own negative gives i itself, so each is taken once.  With
+    ``made`` given, the origin (i, (p,)) of each row, entry p negated, is
+    appended to it as the row is yielded.
     """
     for i, t in enumerate(codes):
         doubled = False
@@ -449,10 +455,14 @@ def _negation_rows(n, N, codes, index):
             if b == a:
                 if not doubled:
                     doubled = True
+                    if made is not None:
+                        made.append((i, (p,)))
                     yield {i: 2}
                 continue
             j = index[tuple(sorted(t[:p] + (b,) + t[p + 1:]))]
             if j > i:
+                if made is not None:
+                    made.append((i, (p,)))
                 yield {j: 1, i: 1}
 
 
@@ -506,8 +516,9 @@ class RelationMatrix:
       echelon, whose rank and scales certify the Smith form's primes for
       any row order, so the rows are eliminated once either way.
     - ``_span``, an echelon of the projected k = 2 rows alone, for
-      membership (``holds``, ``contains``) and ``_spanning_rows``; it is
-      all that descent reads, and a matrix used so never builds ``mat``.
+      membership (``holds``, ``contains``), with the code and part of
+      each row that made a pivot, for ``_spanning_rows``; it is all that
+      descent reads, and a matrix used so never builds ``mat``.
     """
 
     def __init__(self, n, N, minus=False):
@@ -554,7 +565,8 @@ class RelationMatrix:
 
     @cached_property
     def _span(self):
-        """(cols, ech): the span of the relation rows, for membership only.
+        """(cols, ech, parts): the span of the relation rows, for membership
+        and ``_spanning_rows``.
 
         cols maps each basis code to (column, sign), and a vector v on the
         codes lies in the span of the relation rows exactly when its
@@ -567,7 +579,10 @@ class RelationMatrix:
         span every blow-up row (``_sparse_rows``), and no row is made once
         every column holds a pivot.  With minus each row is projected;
         without, P is the identity on the basis columns and is skipped.
-        No negation row is made.
+        No negation row is made.  ``parts`` holds the origin (basis
+        column, part) of the row that made each pivot, in pivot order
+        (``Echelon.origins``): the origin of every row pulled is recorded,
+        and only these are kept.
 
         This is exact over Q.  P kills every negation row: a single
         negation flips the sign within a class, and a two-torsion code has
@@ -588,38 +603,40 @@ class RelationMatrix:
             cols[t] = (reps.setdefault(r, len(reps)) if sign else None, sign)
         ncols = len(reps)
         del reps  # not held while the rows are eliminated
-        rows = _blowup_rows(self.n, self.N, self.codes, self.index, (2,))
+        pulled = []  # the origin of each row the echelon pulls
+        rows = _blowup_rows(self.n, self.N, self.codes, self.index, (2,),
+                            made=pulled)
         if self.minus:
             proj = list(cols.values())
             rows = (_project(r, proj) for r in rows)
-        return cols, Echelon(rows, ncols)
+        ech = Echelon(rows, ncols)
+        return cols, ech, [pulled[o] for o in ech.origins]
 
     def _spanning_rows(self):
-        """Rows spanning the relation rows over Q, made one at a time: each
-        pivot of the ``_span`` echelon, written on the basis column of its
-        class's least code, then the negation rows if minus.
+        """Rows spanning the relation rows over Q, made one at a time, each
+        as (i, pos, row) with its origin: the k = 2 rows, on the basis
+        columns, that made the pivots of the ``_span`` echelon, pos their
+        part; then the negation rows if minus, pos the negated entry.
 
-        Modulo the negation rows every code is its sign times its class's
-        least code (see ``_span``), which has sign 1.  So a blow-up row
-        equals its projection written on the least codes, modulo negation
-        rows, and the pivots so written span the same space as the
-        blow-up rows modulo them.  With the negation rows added, they span
-        the relation rows, so nothing rests on the lemma that the
-        operators send negation rows to negation rows.
+        The projections of the pivot rows span those of every blow-up
+        row, so each blow-up row is a sum of pivot rows plus a vector in
+        the kernel of the projection, which lies in the span of the
+        negation rows (see ``_span``).  With the negation rows added, the
+        pivot rows span the relation rows, so nothing rests on the lemma
+        that the operators send negation rows to negation rows.
         """
-        cols, ech = self._span
-        head = {}  # class column -> column of its least code, met first
-        for i, t in enumerate(self.codes):
-            head.setdefault(cols[t][0], i)
-        for _, _, r in ech.pivots:
-            yield {head[j]: c for j, c in r.items()}
+        N, codes, col = self.N, self.codes, self.index.__getitem__
+        for i, pos in self._span[2]:
+            yield i, pos, _blowup_row(codes[i], N, pos, col, i)
         if self.minus:
-            yield from _negation_rows(self.n, self.N, self.codes, self.index)
+            made = []
+            for r in _negation_rows(self.n, N, codes, self.index, made):
+                yield (*made.pop(), r)
 
     def holds(self, vec):
         """Does the vector {code: coefficient} lie in the span of the
         relation rows?"""
-        cols, ech = self._span
+        cols, ech, _ = self._span
         return ech.contains(_project(vec, cols))
 
     @property

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from random import Random
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -617,9 +618,11 @@ def test_descent_checks_every_k_before_building(monkeypatch, minus, ks):
 @pytest.mark.parametrize("n, N, minus", [(2, 4, False), (2, 6, True),
                                          (3, 4, True), (2, 3, False)])
 def test_descent_images_match_public_operators(monkeypatch, n, N, minus):
-    # with no span membership every image component is reported, so the
-    # report lists the coded images in full; at N = 3 scaling by 3 kills
-    # every symbol and the torsion shift by 3 reaches the all-zero tuple
+    # with no certificate and no span membership every image component is
+    # reported, so the report lists the coded images in full; at N = 3
+    # scaling by 3 kills every symbol and the torsion shift by 3 reaches
+    # the all-zero tuple
+    monkeypatch.setattr(birmod.ops, "_commutes", lambda *args: False)
     monkeypatch.setattr(Echelon, "contains", lambda self, row: False)
     want = []
     for i, row in enumerate(relation_rows(n, N, minus)):
@@ -718,11 +721,11 @@ def test_descent_reports_the_rows_a_skewed_operator_moves(monkeypatch, n, N,
 
 
 def test_descent_presents_each_module_once(monkeypatch):
-    # every cell of the benchmark grid descends, and a cell builds no row
-    # matrix: it decides on rows spanning the source, made from the
-    # source's span-only echelon, and the source is its own target at N,
-    # so each module it asks is eliminated once.  A cell that escapes
-    # streams its relation rows and builds no row matrix either
+    # every cell of the benchmark grid descends by its certificate, which
+    # reads the source's span-only echelon alone: a cell asks no target
+    # and builds one echelon and no row matrix.  A cell that escapes asks
+    # each target once, streams its relation rows and builds no row
+    # matrix either
     made, echelons, asked = [], [], []
     sparse_init, init = SparseMat.__init__, Echelon.__init__
 
@@ -749,14 +752,17 @@ def test_descent_presents_each_module_once(monkeypatch):
                     echelons.clear()
                     asked.clear()
                     assert descent_failures(n, N, minus, (2, 3)) == []
-                    assert asked[0] == (n, N, minus)
-                    assert len(set(asked)) == len(asked) == len(echelons)
+                    assert asked == [(n, N, minus)]
                     total += len(echelons)
         assert made == []
-        assert total == 95
+        assert total == 30
         patch.setattr(birmod.ops, "_raw_sigma",
                       _skewed(birmod.ops._raw_sigma, _SKEWS["_raw_sigma"]))
+        echelons.clear()
+        asked.clear()
         assert descent_failures(2, 5, False, (2, 3)) != []
+        assert asked[0] == (2, 5, False) and len(asked) > 1
+        assert len(set(asked)) == len(asked) == len(echelons)
         assert made == []
     # a rank over Q and a Smith form on one presentation eliminate its
     # rows once, on the full basis columns
@@ -785,6 +791,120 @@ def test_descent_expands_each_basis_code_once_per_operator(monkeypatch):
         monkeypatch.setattr(birmod.ops, name, counting)
     assert descent_failures(3, 5, True, (2, 3)) == []
     assert expanded and max(expanded.values()) == 1
+
+
+def _random_skew(rng):
+    """A seeded skew of one expansion, as (name, skewed expansion).
+
+    For the codes t and indices k it picks, each tuple v of the image of
+    t that it picks is moved: rotated, its first two entries swapped, a
+    copy shifted by a constant added, doubled, or dropped.  Only a
+    doubling respects the spreads and negations of positions.
+    """
+    name = rng.choice(["_raw_sigma", "_raw_rho", "_raw_e"])
+    kind = rng.choice(["rotate", "swap", "shift", "double", "drop"])
+    only_k = rng.choice([None, 2, 3])
+    d_code, r_code = rng.choice([1, 2, 3]), rng.randrange(3)
+    d_tuple, r_tuple = rng.choice([1, 2, 3]), rng.randrange(3)
+    step = rng.choice([1, 2])
+    raw = getattr(birmod.ops, name)
+
+    def moved(v, m, L):
+        if kind == "rotate":
+            return [(v[1:] + v[:1], m)]
+        if kind == "swap":
+            return [(v[1::-1] + v[2:], m)]
+        if kind == "shift":
+            return [(v, m), (tuple((x + step) % L for x in v), m)]
+        if kind == "double":
+            return [(v, 2 * m)]
+        return []
+
+    def skewed(k, L, sums):
+        out = {}
+        for t, c in sums.items():
+            image = raw(k, L, {t: c})
+            if only_k in (None, k) and (sum(t) + r_code) % d_code == 0:
+                image = [(u, x) for v, m in image.items()
+                         for u, x in ((sum(v) + r_tuple) % d_tuple == 0
+                                      and moved(v, m, L) or [(v, m)])]
+            else:
+                image = image.items()
+            for u, x in image:
+                out[u] = out.get(u, 0) + x
+        return {u: x for u, x in out.items() if x}
+    return name, skewed
+
+
+def test_descent_certificate_is_sound(monkeypatch):
+    # a certificate that holds proves that no row escapes, whatever the
+    # operator: under seeded random skews, some of which move entries
+    # between positions, the span route alone must then report nothing.
+    # Either way descent reports what the span route reports
+    real = birmod.ops._commutes
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    rng = Random(20261021)
+    cells = [(1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
+    seen = Counter()
+    for case in range(210):
+        n, N = cells[case % len(cells)]
+        minus = case % 2 == 1
+        name, skewed = _random_skew(rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(birmod.ops, name, skewed)
+            patch.setattr(birmod.ops, "_commutes", spy)
+            verdicts.clear()
+            got = descent_failures(n, N, minus, (2, 3))
+            certified = all(verdicts)
+            patch.setattr(birmod.ops, "_commutes", lambda *args: False)
+            span = descent_failures(n, N, minus, (2, 3))
+        assert got == span, (case, n, N, minus)
+        assert span == [] or not certified, (case, n, N, minus)
+        seen[certified, span == []] += 1
+    assert seen[True, True] and seen[False, True] and seen[False, False]
+    # the span route alone, with the real operators, on the benchmark grid
+    with monkeypatch.context() as patch:
+        patch.setattr(birmod.ops, "_commutes", lambda *args: False)
+        for n in range(1, 4):
+            for N in range(2, 7):
+                for minus in (False, True):
+                    assert descent_failures(n, N, minus, (2, 3)) == []
+
+
+def test_certificate_checks_every_map_of_each_generator():
+    # one generator at a time: with the real lift every check holds, and
+    # doubling the image of the one code that a single map of the
+    # generator reaches (each spread of a part, or the negation) fails it
+    checked = 0
+    for n, N in ((2, 7), (3, 5)):
+        source = RelationMatrix(n, N, True)
+        L, codes = 2 * N, source.codes
+
+        def lift(j):
+            return _raw_rho(2, L, {tuple([2 * x for x in codes[j]]): 1})
+
+        for i, pos, _ in source._spanning_rows():
+            assert birmod.ops._commutes(source, [(i, pos)], L, lift)
+            reached = []
+            for a, b, c in birmod.ops._maps(pos):
+                u = list(codes[i])
+                u[b] = (c * u[b] - u[a]) % N
+                reached.append(source.index[tuple(sorted(u))])
+            for j in reached:
+                if reached.count(j) > 1 or j == i:
+                    continue
+                skewed = (lambda col, j=j: {v: 2 * m for v, m in
+                                            lift(col).items()}
+                          if col == j else lift(col))
+                assert not birmod.ops._commutes(source, [(i, pos)], L,
+                                                skewed), (n, N, i, pos)
+                checked += 1
+    assert checked == 64
 
 
 def test_law_expansions_count_integers(monkeypatch):

@@ -349,7 +349,7 @@ def test_relation_span_matches_the_relation_matrix(minus):
             rows = list(birmod.symbols._relations(n, M, m.codes, m.index,
                                                   minus))
             full = SparseMat(rows, len(m.codes)).echelon()
-            cols, ech = m._span
+            cols, ech, _ = m._span
             assert set(cols) == set(m.codes)
             for t in m.codes:
                 j, sign = cols[t]
@@ -546,10 +546,11 @@ def test_rank_over_q_keeps_only_its_echelon(monkeypatch):
 
 def test_spanning_rows_span_the_relation_rows():
     # descent decides on these rows, so they must have the row space of
-    # the relation rows over Q: under minus the pivots of the span-only
-    # echelon are written on least codes, and the negation rows are added
-    # whatever the blow-up rows do to them (at arity 1 there are no
-    # blow-up rows; at even M some classes are two-torsion)
+    # the relation rows over Q: the k = 2 rows that made the pivots of
+    # the span-only echelon, projected under minus, and the negation rows
+    # added whatever the blow-up rows do to them (at arity 1 there are no
+    # blow-up rows; at even M some classes are two-torsion).  Each row is
+    # the one its origin names, written here from the definition
     two_torsion = 0
     for n in range(1, 4):
         for M in range(2, 13):
@@ -557,7 +558,20 @@ def test_spanning_rows_span_the_relation_rows():
                 m = RelationMatrix(n, M, minus)
                 full = SparseMat(list(birmod.symbols._relations(
                     n, M, m.codes, m.index, minus)), len(m.codes))
-                spanning = SparseMat(list(m._spanning_rows()), full.ncols)
+                rows = []
+                for i, pos, row in m._spanning_rows():
+                    t = m.codes[i]
+                    if len(pos) == 2:
+                        want = _definition_row(t, pos, M)
+                    else:
+                        p = pos[0]
+                        want = {t: 1}
+                        u = tuple(sorted(t[:p] + (-t[p] % M,) + t[p + 1:]))
+                        want[u] = want.get(u, 0) + 1
+                    assert row == {m.index[u]: c for u, c in want.items()
+                                   if c}, (n, M, minus, t, pos)
+                    rows.append(row)
+                spanning = SparseMat(rows, full.ncols)
                 assert rank_q(spanning) == rank_q(full), (n, M, minus)
                 assert all(in_span(r, full) for r in spanning.rows)
                 assert all(in_span(r, spanning) for r in full.rows)
