@@ -19,12 +19,12 @@ new pivot on its last (largest) column.  So no pivot row holds an earlier
 pivot's column, and a pivot row is never updated again.  The caller puts
 sparse rows first: ``SparseMat`` hands over its rows sorted by nnz (a
 stable sort), and a relation matrix streams its rows in with no global
-sort.  It presents its module in two parts: the two-part blow-up rows,
-of at most three entries each, with the negation rows, span every
-relation row over Z, so only they are eliminated; the Q rank's echelon
-takes the shortest of them first, the span-only echelon takes them in
-code order.  Both rules were measured on relation
-matrices (2 cores, CPython 3.11.7): unsorted, the (2, 199, minus) matrix
+sort, the same order whether it made them or holds them in a matrix.
+It presents its module in two parts: the two-part blow-up rows, of at
+most three entries each, with the negation rows, span every relation
+row over Z, so only they are eliminated, in one echelon that takes the
+negation rows first, then the shortest blow-up rows.  Both rules were
+measured on relation matrices (2 cores, CPython 3.11.7): unsorted, the (2, 199, minus) matrix
 took 0.95 s instead of 0.28 s; pivoting on the column rarest in the input
 instead of the last, (3, 29) took 5.1 s instead of 0.28 s, with twice the
 pivot nonzeros.  The price is denser pivot rows than a Markowitz
@@ -202,9 +202,9 @@ class SparseMat:
     holds a zero entry is copied without it.  Neither the echelon nor
     ``snf`` writes to a row, so the caller's rows are never changed, but a
     caller that changes a row after handing it over changes the matrix.
-    A caller already holding an echelon of the same rows, in another
-    order, may set it as ``_ech``: rank, span and ``snf`` read any such
-    echelon alike.
+    A caller already holding an echelon of the same rows, in any order,
+    may set it as ``_ech``: rank, span and ``snf`` read any such echelon
+    alike.
     """
 
     def __init__(self, rows, ncols):

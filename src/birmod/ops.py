@@ -38,9 +38,9 @@ sorted by ``_same``: every verdict, count and sample is the one the full
 expansion gives.
 
 A descent check relies on the operators being linear.  It decides on
-rows spanning the source relation rows over Q: the k = 2 rows that made
-the pivots of the span-only echelon of the source
-``symbols.RelationMatrix``, and the negation rows if minus.  It expands
+rows spanning the source relation rows over Q: the presenting rows (the
+negation rows if minus, and the k = 2 rows) that made the pivots of the
+one echelon of the source ``symbols.RelationMatrix``.  It expands
 the image of each basis symbol once per (k, operator) into ordered
 tuples.  Each operator is first checked to commute, on sorted tuples,
 with the spread or negation that makes each of those rows; if every
@@ -49,7 +49,7 @@ no target is built.  Only where a check fails are the images split by
 modulus into canonical codes and summed into the image of each row.  A
 component that cancels is dropped; every other one is asked of the
 target ``RelationMatrix`` at its modulus through ``holds``, which reads
-the same kind of echelon (the source is the target at modulus N); a
+that target's one echelon (the source is the target at modulus N); a
 full-rank one answers without elimination.  No row matrix is built: the
 relation rows are streamed only to report an escape.
 
@@ -633,10 +633,10 @@ def descent_failures(n, N, minus, ks):
     and each component lies in the rational span of the relation rows of
     the target module.  The operators, the split by modulus and the
     target projection are linear, so this holds for every relation row
-    exactly when it holds for the source's ``_spanning_rows``: the k = 2
-    rows that made the pivots of its span-only echelon, and the negation
-    rows if minus, which span the relation rows over Q with no negation
-    lemma.  A row's image sums its coefficients times the images of its
+    exactly when it holds for the source's ``_spanning_rows``: the
+    presenting rows (the negation rows if minus, and the k = 2 rows) that
+    made the pivots of its echelon, which span the relation rows over Q
+    with no negation lemma.  A row's image sums its coefficients times the images of its
     basis symbols, each expanded once per (k, operator), on first use, at
     the level L the public operator would pick, into ordered level-L
     tuples.

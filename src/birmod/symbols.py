@@ -392,9 +392,10 @@ def _short_pair(t, pos):
     return not x or x == t[pos[1]]
 
 
-def _sparse_rows(n, N, codes, index):
+def _sparse_rows(n, N, codes, index, made=None):
     """The distinct k = 2 blow-up rows, sparse first, made one at a time:
-    those of at most two entries, then the others.
+    those of at most two entries, then the others; ``made`` is passed to
+    ``_blowup_rows``.
 
     These rows, with the negation rows under minus, present the module
     over Z: every blow-up row of a larger part is a Z-combination of
@@ -429,9 +430,9 @@ def _sparse_rows(n, N, codes, index):
     rows from two entries of the code, so they cost no second pass of row
     making.
     """
-    yield from _blowup_rows(n, N, codes, index, (2,), _short_pair)
+    yield from _blowup_rows(n, N, codes, index, (2,), _short_pair, made)
     yield from _blowup_rows(n, N, codes, index, (2,),
-                            lambda t, pos: not _short_pair(t, pos))
+                            lambda t, pos: not _short_pair(t, pos), made)
 
 
 def _negation_rows(n, N, codes, index, made=None):
@@ -475,17 +476,6 @@ def _relations(n, N, codes, index, minus):
         yield from _negation_rows(n, N, codes, index)
 
 
-def _project(vec, cols):
-    """Sum sign * c at column j over the entries (key, c) of vec, where
-    ``cols[key]`` is (j, sign), dropping zeros."""
-    out = {}
-    for key, c in vec.items():
-        j, sign = cols[key]
-        if sign:
-            out[j] = out.get(j, 0) + sign * c
-    return {j: c for j, c in out.items() if c}
-
-
 def relation_rows(n, N, minus=False):
     """The distinct relation rows of the arity-n modulus-N module, as
     formal sums in ``_relations`` order."""
@@ -505,20 +495,17 @@ class RelationMatrix:
     and ``index``, the column of each code.  The rest is built on first
     use and kept:
 
-    - ``_echelon``, an echelon of the ``_presenting_rows`` on the basis
-      columns and the count of those rows, taken in one pass over
-      rows made one at a time: the negation rows if minus, then the k = 2
-      rows, sparse first.  Rows left once every column holds a pivot are
-      only counted.  No row list is held; ``quotient_rank()`` reads it.
+    - ``_echelon``, the one echelon of the module: the ``_presenting_rows``
+      on the basis columns, in their order, and the count of those rows,
+      taken in one pass.  It reads the rows of ``mat`` if that exists, and
+      else makes them one at a time and holds no row list; rows left once
+      every column holds a pivot are only counted.  The Q rank, membership
+      (``holds``, ``contains``) and ``_spanning_rows`` read it.
     - ``mat``, the ``SparseMat`` of the same rows, for the Smith form.  No
-      row is zero: its coefficients sum to -1 or 2.  Built first, its own
-      echelon serves the Q rank; built after ``_echelon``, it takes that
-      echelon, whose rank and scales certify the Smith form's primes for
-      any row order, so the rows are eliminated once either way.
-    - ``_span``, an echelon of the projected k = 2 rows alone, for
-      membership (``holds``, ``contains``), with the code and part of
-      each row that made a pivot, for ``_spanning_rows``; it is all that
-      descent reads, and a matrix used so never builds ``mat``.
+      row is zero: its coefficients sum to -1 or 2.  It takes ``_echelon``
+      as its echelon, whose rank and scales certify the Smith form's
+      primes for any row order, so the rows are eliminated once whichever
+      is asked first.  Descent never builds it.
     """
 
     def __init__(self, n, N, minus=False):
@@ -526,27 +513,28 @@ class RelationMatrix:
         self.codes = _coded_symbols(n, N)
         self.index = {t: i for i, t in enumerate(self.codes)}
 
-    def _presenting_rows(self):
+    def _presenting_rows(self, made=None):
         """The rows that present the module over Z, made one at a time:
-        the negation rows if minus, then ``_sparse_rows``."""
+        the negation rows if minus, then ``_sparse_rows``.  With ``made``
+        given, the origin of each row is appended to it as it is made."""
         args = self.n, self.N, self.codes, self.index
         if self.minus:
-            yield from _negation_rows(*args)
-        yield from _sparse_rows(*args)
+            yield from _negation_rows(*args, made)
+        yield from _sparse_rows(*args, made)
 
     @cached_property
     def mat(self):
-        mat = SparseMat(self._presenting_rows(), len(self.codes))
-        if "_echelon" in self.__dict__:
-            mat._ech = self._echelon[0]
+        # held before the echelon is built, so that it reads these rows
+        mat = self.__dict__["mat"] = SparseMat(self._presenting_rows(),
+                                               len(self.codes))
+        mat._ech = self._echelon[0]
         return mat
 
     @cached_property
     def _echelon(self):
         """(ech, presenting rows): see the class docstring."""
-        if "mat" in self.__dict__:
-            return self.mat.echelon(), self.mat.nrows
-        rows = self._presenting_rows()
+        mat = self.__dict__.get("mat")
+        rows = self._presenting_rows() if mat is None else iter(mat.rows)
         pulled = count()  # advanced once per row the echelon takes
         ech = Echelon((r for r, _ in zip(rows, pulled)), len(self.codes))
         return ech, next(pulled) + sum(1 for _ in rows)
@@ -557,87 +545,35 @@ class RelationMatrix:
         the blow-up rows of larger parts, made here only to be counted,
         one part size at a time.  Rows of two part sizes never meet
         (``_blowup_rows``)."""
-        presenting = (self.mat.nrows if "mat" in self.__dict__
-                      else self._echelon[1])
         args = self.n, self.N, self.codes, self.index
-        return presenting + sum(1 for k in range(3, self.n + 1)
-                                for _ in _blowup_rows(*args, (k,)))
-
-    @cached_property
-    def _span(self):
-        """(cols, ech, parts): the span of the relation rows, for membership
-        and ``_spanning_rows``.
-
-        cols maps each basis code to (column, sign), and a vector v on the
-        codes lies in the span of the relation rows exactly when its
-        projection P v, ``_project(v, cols)``, lies in the span of
-        ``ech``.  Without minus each code is its own column, with sign 1.
-        With minus the columns are the negation classes that are not
-        two-torsion: a code goes to its class with its sign
-        (``_minus_rep``), a two-torsion code to sign 0.  ``ech`` is fed
-        the distinct k = 2 rows of ``_blowup_rows`` one at a time, which
-        span every blow-up row (``_sparse_rows``), and no row is made once
-        every column holds a pivot.  With minus each row is projected;
-        without, P is the identity on the basis columns and is skipped.
-        No negation row is made.  ``parts`` holds the origin (basis
-        column, part) of the row that made each pivot, in pivot order
-        (``Echelon.origins``): the origin of every row pulled is recorded,
-        and only these are kept.
-
-        This is exact over Q.  P kills every negation row: a single
-        negation flips the sign within a class, and a two-torsion code has
-        sign 0.  Conversely, a negation row sets a code to minus its
-        negated code, or kills a code with a self-negative entry, and
-        single negations connect each class; so modulo the negation rows
-        every code is its sign times its class's least code (zero in a
-        two-torsion class), and the kernel of P lies in their span.  Hence
-        v is in the span of all rows iff P v = P w for some w in the span
-        of the blow-up rows, iff P v is in the span of the projected
-        k = 2 rows.  The column count minus the rank of ``ech`` is
-        ``quotient_rank()``.
-        """
-        signed = _minus_rep if self.minus else lambda t, L: (t, 1)
-        reps, cols = {}, {}  # the column of each class, and of each code
-        for t in self.codes:
-            r, sign = signed(t, self.N)
-            cols[t] = (reps.setdefault(r, len(reps)) if sign else None, sign)
-        ncols = len(reps)
-        del reps  # not held while the rows are eliminated
-        pulled = []  # the origin of each row the echelon pulls
-        rows = _blowup_rows(self.n, self.N, self.codes, self.index, (2,),
-                            made=pulled)
-        if self.minus:
-            proj = list(cols.values())
-            rows = (_project(r, proj) for r in rows)
-        ech = Echelon(rows, ncols)
-        return cols, ech, [pulled[o] for o in ech.origins]
+        return self._echelon[1] + sum(1 for k in range(3, self.n + 1)
+                                      for _ in _blowup_rows(*args, (k,)))
 
     def _spanning_rows(self):
         """Rows spanning the relation rows over Q, made one at a time, each
-        as (i, pos, row) with its origin: the k = 2 rows, on the basis
-        columns, that made the pivots of the ``_span`` echelon, pos their
-        part; then the negation rows if minus, pos the negated entry.
+        as (i, pos, row) with its origin: the presenting rows that made
+        the pivots of ``_echelon``, on the basis columns, in their order.
+        A k = 2 row has code i and part pos; a negation row has code i and
+        pos the negated entry.
 
-        The projections of the pivot rows span those of every blow-up
-        row, so each blow-up row is a sum of pivot rows plus a vector in
-        the kernel of the projection, which lies in the span of the
-        negation rows (see ``_span``).  With the negation rows added, the
-        pivot rows span the relation rows, so nothing rests on the lemma
-        that the operators send negation rows to negation rows.
+        Every presenting row is in the span of the pivot rows, and the
+        presenting rows span the relation rows over Z, so nothing rests on
+        the lemma that the operators send negation rows to negation rows.
+        The rows are made again, with their origins, up to the last pivot.
         """
-        N, codes, col = self.N, self.codes, self.index.__getitem__
-        for i, pos in self._span[2]:
-            yield i, pos, _blowup_row(codes[i], N, pos, col, i)
-        if self.minus:
-            made = []
-            for r in _negation_rows(self.n, N, codes, self.index, made):
-                yield (*made.pop(), r)
+        made = []
+        rows = enumerate(self._presenting_rows(made))
+        for o in self._echelon[0].origins:
+            for i, row in rows:
+                if i == o:
+                    yield (*made[o], row)
+                    break
 
     def holds(self, vec):
         """Does the vector {code: coefficient} lie in the span of the
         relation rows?"""
-        cols, ech, _ = self._span
-        return ech.contains(_project(vec, cols))
+        col = self.index.__getitem__
+        return self._echelon[0].contains({col(t): c for t, c in vec.items()})
 
     @property
     def basis(self):
@@ -665,8 +601,8 @@ class RelationMatrix:
 
     def contains(self, fs):
         """Does the formal sum lie in the span of the relation rows?"""
-        return (self.vectorize(fs) is not None
-                and self.holds({t: c for (_, t), c in fs.terms.items()}))
+        vec = self.vectorize(fs)
+        return vec is not None and self._echelon[0].contains(vec)
 
     def quotient_rank(self):
         """Dimension over Q of the presented module."""

@@ -338,10 +338,9 @@ def _negation_orbit(t, N):
 
 @pytest.mark.parametrize("minus", [False, True])
 def test_relation_span_matches_the_relation_matrix(minus):
-    # the span-only target, fed the k = 2 rows alone, against a matrix of
-    # every relation row: the column map is checked on negation orbits
-    # and the projection written here; at arity 4 the k = 3 and k = 4
-    # rows it never sees are queried
+    # membership, on the echelon of the k = 2 and negation rows alone,
+    # against a matrix of every relation row: at arity 4 the k = 3 and
+    # k = 4 rows it never sees are queried
     rng = Random(20261020)
     for n, top in ((1, 12), (2, 12), (3, 12), (4, 6)):
         for M in range(2, top + 1):
@@ -349,30 +348,6 @@ def test_relation_span_matches_the_relation_matrix(minus):
             rows = list(birmod.symbols._relations(n, M, m.codes, m.index,
                                                   minus))
             full = SparseMat(rows, len(m.codes)).echelon()
-            cols, ech, _ = m._span
-            assert set(cols) == set(m.codes)
-            for t in m.codes:
-                j, sign = cols[t]
-                if not minus:
-                    assert (j, sign) == (m.index[t], 1)
-                    continue
-                # two-torsion: t is its own negation at odd parity
-                orbit = _negation_orbit(t, M)
-                assert (sign == 0) == ((t, 1) in orbit)
-                for u, parity in orbit:
-                    assert cols[u] == (j, sign * (-1) ** parity)
-            live = {j for j, sign in cols.values() if sign}
-            assert live == set(range(ech.ncols))
-            assert ech.ncols - ech.rank == m.quotient_rank()
-
-            def project(vec):
-                out = {}
-                for i, c in vec.items():
-                    j, sign = cols[m.codes[i]]
-                    if sign:
-                        out[j] = out.get(j, 0) + sign * c
-                return {j: c for j, c in out.items() if c}
-
             units = [{i: 1} for i in range(len(m.codes))]
             mixes = []
             for _ in range(50):
@@ -386,23 +361,8 @@ def test_relation_span_matches_the_relation_matrix(minus):
                     vec[i] = vec.get(i, 0) + rng.choice((-2, -1, 1, 2))
                 mixes.append({i: c for i, c in vec.items() if c})
             for vec in units + rows + mixes:
-                assert ech.contains(project(vec)) == full.contains(vec), \
-                    (n, M, vec)
-
-
-def test_span_build_streams_its_rows():
-    # the span-only echelon pulls the blow-up rows one at a time, so the
-    # heap peak of its build stays near what it keeps: 1.08x at (3, 18),
-    # where generating and sorting every row first peaked at 2.8x
-    m = RelationMatrix(3, 18)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        m._span
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 1.5 * (kept - base)
+                coded = {m.codes[i]: c for i, c in vec.items()}
+                assert m.holds(coded) == full.contains(vec), (n, M, vec)
 
 
 def test_short_pairs_are_the_short_k2_rows():
@@ -521,7 +481,9 @@ def test_rank_over_q_streams_its_rows(monkeypatch):
 def test_rank_over_q_keeps_only_its_echelon(monkeypatch):
     # the Q rank pulls its rows one at a time into one echelon, so the
     # heap peak stays near what that echelon keeps: 1.01x at (2, 97,
-    # minus), where a row matrix and its sorted copy peaked at 2.4x
+    # minus), where a row matrix and its sorted copy peaked at 2.4x, and
+    # 1.01x at (3, 18), where every blow-up row made and sorted first
+    # peaked at 2.8x
     made = []
     init = birmod.symbols.Echelon.__init__
 
@@ -530,27 +492,62 @@ def test_rank_over_q_keeps_only_its_echelon(monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(birmod.symbols.Echelon, "__init__", recording)
-    m = RelationMatrix(2, 97, True)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        m.quotient_rank()
-        peak = tracemalloc.get_traced_memory()[1]
-        del m  # only the echelon, held in made, is left
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(made) == 1
-    assert peak - base < 1.5 * (kept - base)
+    for n, N, minus in ((2, 97, True), (3, 18, False)):
+        made.clear()
+        m = RelationMatrix(n, N, minus)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m.quotient_rank()
+            peak = tracemalloc.get_traced_memory()[1]
+            del m  # only the echelon, held in made, is left
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 1, (n, N, minus)
+        assert peak - base < 1.5 * (kept - base), (n, N, minus)
+
+
+def test_one_echelon_serves_the_module_in_either_call_order(monkeypatch):
+    # the Smith form first (its row matrix feeds the echelon) or the Q
+    # rank first (the rows stream into it, and the matrix takes it): the
+    # same echelon, built once, answers rank, relations, Smith form and
+    # the spanning rows
+    made = []
+    init = birmod.symbols.Echelon.__init__
+
+    def recording(self, rows, ncols):
+        init(self, rows, ncols)
+        made.append(self)
+
+    monkeypatch.setattr(birmod.symbols.Echelon, "__init__", recording)
+    cells = [(n, N) for n in range(1, 4) for N in range(2, 13)]
+    cells += [(4, N) for N in range(2, 7)]
+    for n, N in cells:
+        for minus in (False, True):
+            seen = []
+            for smith_first in (True, False):
+                made.clear()
+                m = RelationMatrix(n, N, minus)
+                if smith_first:
+                    factors = m.invariant_factors()
+                    rank = m.quotient_rank()
+                else:
+                    rank = m.quotient_rank()
+                    factors = m.invariant_factors()
+                seen.append((rank, factors, m.relations,
+                             list(m._spanning_rows())))
+                assert made == [m._echelon[0]], (n, N, minus, smith_first)
+                assert m.mat.echelon() is m._echelon[0]
+            assert seen[0] == seen[1], (n, N, minus)
 
 
 def test_spanning_rows_span_the_relation_rows():
     # descent decides on these rows, so they must have the row space of
-    # the relation rows over Q: the k = 2 rows that made the pivots of
-    # the span-only echelon, projected under minus, and the negation rows
-    # added whatever the blow-up rows do to them (at arity 1 there are no
-    # blow-up rows; at even M some classes are two-torsion).  Each row is
-    # the one its origin names, written here from the definition
+    # the relation rows over Q: the negation and k = 2 rows that made the
+    # pivots of the module's echelon (at arity 1 there are no blow-up
+    # rows; at even M some classes are two-torsion).  Each row is the one
+    # its origin names, written here from the definition
     two_torsion = 0
     for n in range(1, 4):
         for M in range(2, 13):
@@ -578,7 +575,8 @@ def test_spanning_rows_span_the_relation_rows():
                 if minus and n == 1:
                     assert spanning.rows == full.rows != []
                 two_torsion += minus and any(
-                    sign == TWO_TORSION for _, sign in m._span[0].values())
+                    birmod.symbols._minus_rep(t, M)[1] == TWO_TORSION
+                    for t in m.codes)
     assert two_torsion > 0
 
 
