@@ -43,7 +43,8 @@ negation rows if minus, and the k = 2 rows) that made the pivots of the
 one echelon of the source ``symbols.RelationMatrix``.  It expands
 the image of each basis symbol once per (k, operator) into ordered
 tuples.  Each operator is first checked to commute, on sorted tuples,
-with the spread or negation that makes each of those rows; if every
+with the spread or negation that makes each of those rows (each map's
+target code and sorting permutation worked out once per call); if every
 check holds, the image of each row is a sum of target relation rows and
 no target is built.  Only where a check fails are the images split by
 modulus into canonical codes and summed into the image of each row.  A
@@ -53,21 +54,28 @@ that target's one echelon (the source is the target at modulus N); a
 full-rank one answers without elimination.  No row matrix is built: the
 relation rows are streamed only to report an escape.
 
-One helper, ``_count``, sums every expansion by one rule: it counts each
-run's entry combinations in a ``Counter`` (so the work per combination
-runs in C), adds them in times the run's coefficient and drops zeros.
-Multiplicities are integers; the averaged lift's 1/k^n divides a counted
-result.  Combinations keep each entry at its position: the operators act
-entry by entry, so they commute with permuting positions, and
-``symbols._wrap`` sorts a result once.  Law cells compare ordered sides
-with ``_same``; the coproduct keys its output canonically.
+One helper, ``_count``, sums every expansion by one rule.  Several runs
+of entry combinations are each counted in a ``Counter`` (so the work per
+combination runs in C), added in times the run's coefficient, and zeros
+are dropped.  A lone run, such as the lift or torsion shift of one code,
+needs no ``Counter``: its tuples are distinct, since the lift and the
+torsion shift run a product of ranges each of distinct values, and a
+product concatenates distinct pairs of tuples of fixed arities.  So
+``dict.fromkeys`` writes the run at its coefficient, and only if that
+holds fewer keys than the run has tuples (a caller's run that repeats
+one) is it counted instead.  Multiplicities are integers; the averaged
+lift's 1/k^n divides a counted result.  Combinations keep each entry at
+its position: the operators act entry by entry, so they commute with
+permuting positions, and ``symbols._wrap`` sorts a result once.  Law
+cells compare ordered sides with ``_same``; the coproduct keys its output
+canonically.
 """
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations, product, starmap
+from itertools import chain, combinations, product, starmap
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, itemgetter
 
 from .qz import _check_k
 from .symbols import (RelationMatrix, TWO_TORSION, _by_modulus, _coded,
@@ -102,7 +110,21 @@ def _bound(what, terms, k, power):
 
 
 def _count(runs):
-    """Sum c * <combo> over (c, iterator of entry tuples) pairs."""
+    """Sum c * <combo> over (c, iterator of entry tuples) pairs; a lone
+    run of distinct tuples is written at c with no ``Counter``."""
+    runs = iter(runs)
+    first, second = next(runs, None), next(runs, None)
+    if second is None:
+        if first is None or not first[0]:
+            return {}
+        c, run = first
+        run = list(run)
+        out = dict.fromkeys(run, c)
+        if len(out) == len(run):
+            return out
+        runs = [(c, run)]
+    else:
+        runs = chain((first, second), runs)
     out = Counter()
     for c, run in runs:
         if c == 1:
@@ -316,8 +338,15 @@ class OperatorReport:
 
 
 def _proj(sums):
-    """The acceptability projection: drop the all-zero tuple."""
-    return {t: c for t, c in sums.items() if any(t)}
+    """The acceptability projection: drop the all-zero tuple.
+
+    A sum holds one arity, so its all-zero tuple is the one of the arity
+    of any of its tuples.
+    """
+    out = dict(sums)
+    if out:
+        out.pop((0,) * len(next(iter(out))), None)
+    return out
 
 
 def _same(a, b):
@@ -584,27 +613,17 @@ def _maps(pos):
     return [(p, q, 1), (q, p, 1)]
 
 
-def _commutes(source, generators, L, image):
-    """Does an operator commute with the maps of every generator?
+def _generator_maps(source, generators):
+    """Each map of each generator as (i, j, a, b, c, arrange).
 
-    ``generators`` are origins (i, pos) from ``_spanning_rows``, and
-    ``image(j)`` is the raw image of basis code j at level L: its ordered
-    tuples with their multiplicities.  For each generator and each of its
-    ``_maps``, the map applied to every tuple of the image of code i must
-    give the sorted form (each tuple sorted, the all-zero tuple dropped)
-    of the image of code j, the sorted code the map sends code i to.  See
-    ``descent_failures`` for why this suffices.
-
-    A map sends only the all-zero tuple to it, and distinct tuples to
-    distinct tuples, as does the permutation of positions that sorts the
-    moved code.  So the mapped and permuted tuples of code i, kept in
-    order, are a dict with no term to merge; if it equals the nonzero
-    part of the image of code j, as it does for an operator acting entry
-    by entry, the sorted forms are equal too.  Only otherwise are both
-    sides sorted, which decides.
+    ``generators`` are origins (i, pos) from ``_spanning_rows``.  (a, b, c)
+    is one of the ``_maps`` of pos, j the basis column of the sorted code
+    that it sends code i to, and ``arrange`` takes a list of entries to
+    the tuple in the order that sorts the moved code.  None of these
+    depends on the level or the operator.
     """
     N, codes, index = source.N, source.codes, source.index
-    nonzero = {}  # basis column -> its image without the all-zero tuple
+    out = []
     for i, pos in generators:
         t = codes[i]
         for a, b, c in _maps(pos):
@@ -612,16 +631,52 @@ def _commutes(source, generators, L, image):
             u[b] = (c * t[b] - t[a]) % N
             order = sorted(range(len(u)), key=u.__getitem__)
             u.sort()
-            j = index[tuple(u)]
-            for col in i, j:
-                if col not in nonzero:
-                    nonzero[col] = _proj(image(col))
-            got = {}
-            for v, m in nonzero[i].items():
-                w = v[:b] + ((c * v[b] - v[a]) % L,) + v[b + 1:]
-                got[tuple([w[x] for x in order])] = m
-            if not _same(got, nonzero[j]):
-                return False
+            # one index makes itemgetter return an entry, not a tuple
+            arrange = itemgetter(*order) if len(order) > 1 else tuple
+            out.append((i, index[tuple(u)], a, b, c, arrange))
+    return out
+
+
+def _commutes(maps, L, image):
+    """Does an operator commute with every map of ``_generator_maps``?
+
+    ``image(j)`` is the raw image of basis code j at level L: its ordered
+    tuples with their multiplicities.  For each map (i, j, a, b, c,
+    arrange), entry b of every tuple v of the image of code i becomes
+    c * v_b - v_a, and the result arranged must give the sorted form
+    (each tuple sorted, the all-zero tuple dropped) of the image of code
+    j.  See ``descent_failures`` for why this suffices.
+
+    A map sends only the all-zero tuple to it, and distinct tuples to
+    distinct tuples, as does the arrangement.  So the mapped tuples of
+    code i are distinct; if each is found in the nonzero part of the
+    image of code j with its multiplicity, and the two have as many
+    tuples, as they do for an operator acting entry by entry, the two are
+    equal and so are their sorted forms.  Only on a mismatch are the
+    mapped tuples made a dict and both sides compared sorted by ``_same``,
+    which decides.
+    """
+    nonzero = {}  # basis column -> its image without the all-zero tuple
+    for i, j, a, b, c, arrange in maps:
+        for col in i, j:
+            if col not in nonzero:
+                nonzero[col] = _proj(image(col))
+        src, want = nonzero[i], nonzero[j]
+        if len(src) == len(want):
+            for v, m in src.items():
+                w = list(v)
+                w[b] = (c * w[b] - w[a]) % L
+                if want.get(arrange(w)) != m:
+                    break
+            else:
+                continue
+        got = {}
+        for v, m in src.items():
+            w = list(v)
+            w[b] = (c * w[b] - w[a]) % L
+            got[arrange(w)] = m
+        if not _same(got, want):
+            return False
     return True
 
 
@@ -636,14 +691,17 @@ def descent_failures(n, N, minus, ks):
     exactly when it holds for the source's ``_spanning_rows``: the
     presenting rows (the negation rows if minus, and the k = 2 rows) that
     made the pivots of its echelon, which span the relation rows over Q
-    with no negation lemma.  A row's image sums its coefficients times the images of its
-    basis symbols, each expanded once per (k, operator), on first use, at
-    the level L the public operator would pick, into ordered level-L
-    tuples.
+    with no negation lemma.  A row's image sums its coefficients times
+    the images of its basis symbols, each expanded once per (k, operator),
+    on first use, at the level L the public operator would pick, into
+    ordered level-L tuples.
 
     Each (k, operator) is first tried by a commutation certificate
-    (``_commutes``), which builds no target.  Write [v] for the symbol of
-    a level-L tuple v in any entry order at its modulus, or 0 when v is
+    (``_commutes``), which builds no target.  The maps it checks
+    (``_generator_maps``: each map's target code and the permutation that
+    sorts it) depend on neither k nor the operator, so they are built once
+    per call and shared by every (k, operator).  Write [v] for the symbol
+    of a level-L tuple v in any entry order at its modulus, or 0 when v is
     all zero, op(t) for the raw image of code t, a sum of m_v * v, and
     s_a for the spread of a part {p, q} keeping entry a.  The spanning
     row of code t and part {p, q} is r(t) = [t] - [s_p t] - [s_q t], and
@@ -693,9 +751,9 @@ def descent_failures(n, N, minus, ks):
         return image
 
     images = {(k, name): expander(L, k, op) for L, k, name, op in jobs}
-    generators = [(i, pos) for i, pos, _ in source._spanning_rows()]
-    if all(_commutes(source, generators, L, images[k, name])
-           for L, k, name, _ in jobs):
+    maps = _generator_maps(source, [(i, pos) for i, pos, _ in
+                                    source._spanning_rows()])
+    if all(_commutes(maps, L, images[k, name]) for L, k, name, _ in jobs):
         return []
 
     targets = {N: source}  # modulus -> RelationMatrix of the target

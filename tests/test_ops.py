@@ -21,7 +21,8 @@ from birmod import (TWO_TORSION, DeltaSum, FormalSum, QZ, RelationMatrix,
                     minus_canonicalize, nabla_op, preimages, relation_rows,
                     rho_hat_op, rho_op, sigma_op, split_by_modulus, torsion)
 from birmod.linalg import Echelon, SparseMat
-from birmod.ops import (_concat, _delta_sum, _raw_delta, _raw_e, _raw_rho,
+from birmod.ops import (_commutes, _concat, _count, _delta_sum,
+                        _generator_maps, _raw_delta, _raw_e, _raw_rho,
                         _raw_sigma, _same)
 from birmod.symbols import _level, _raw_of, _sym
 
@@ -321,6 +322,16 @@ def test_codec_expansions_cancel_to_a_plain_empty_dict():
     assert out == {} and type(out) is dict
 
 
+def test_count_sums_a_lone_run_and_its_repeats():
+    # one run needs no Counter unless one of its tuples repeats
+    assert _count([(2, iter([(1,), (1,)]))]) == {(1,): 4}
+    assert _count([(3, iter([(1, 2), (2, 1)]))]) == {(1, 2): 3, (2, 1): 3}
+    assert _count([(0, iter([(1,)]))]) == {}
+    assert _count([]) == {} and _count(iter([])) == {}
+    # several runs still sum through the Counter
+    assert _count([(1, iter([(1,)])), (-1, iter([(1,), (2,)]))]) == {(2,): -1}
+
+
 def test_same_compares_sorted_sums():
     assert _same({(1, 2): 1}, {(2, 1): 1})
     assert not _same({(1, 2): 1}, {(1, 3): 1})
@@ -331,23 +342,25 @@ def test_same_compares_sorted_sums():
                   strat.data())
 def test_codec_expansions_match_loop_reference(k, N, data):
     L = N * k
-    lift_input = data.draw(coded_sums(L, k))
-    x = data.draw(coded_sums(L, 1))
-    y = data.draw(coded_sums(L, 1))
-    for got, ordered, want in (
-            (_raw_sigma(k, L, x), sigma_ordered_reference(k, L, x),
-             sigma_reference(k, L, x)),
-            (_raw_rho(k, L, lift_input),
-             rho_ordered_reference(k, L, lift_input),
-             rho_reference(k, L, lift_input)),
-            (_raw_e(k, L, x), e_ordered_reference(k, L, x),
-             e_reference(k, L, x)),
-            (_concat(x, y), concat_ordered_reference(x, y),
-             concat_reference(x, y))):
-        assert type(got) is dict
-        assert got == ordered
-        assert all(got.values())
-        assert _sym(got) == want
+    sums = [data.draw(coded_sums(L, step)) for step in (k, 1, 1)]
+    # the first term of each alone: one-term sums expand through the lone
+    # run of _count, several terms through its Counter
+    lone = [dict([next(iter(s.items()))]) for s in sums]
+    for lift_input, x, y in (sums, lone):
+        for got, ordered, want in (
+                (_raw_sigma(k, L, x), sigma_ordered_reference(k, L, x),
+                 sigma_reference(k, L, x)),
+                (_raw_rho(k, L, lift_input),
+                 rho_ordered_reference(k, L, lift_input),
+                 rho_reference(k, L, lift_input)),
+                (_raw_e(k, L, x), e_ordered_reference(k, L, x),
+                 e_reference(k, L, x)),
+                (_concat(x, y), concat_ordered_reference(x, y),
+                 concat_reference(x, y))):
+            assert type(got) is dict
+            assert got == ordered
+            assert all(got.values())
+            assert _sym(got) == want
 
 
 # QZ references for the signed form and the coproduct: every negation
@@ -889,7 +902,8 @@ def test_certificate_checks_every_map_of_each_generator():
             return _raw_rho(2, L, {tuple([2 * x for x in codes[j]]): 1})
 
         for i, pos, _ in source._spanning_rows():
-            assert birmod.ops._commutes(source, [(i, pos)], L, lift)
+            maps = _generator_maps(source, [(i, pos)])
+            assert _commutes(maps, L, lift)
             reached = []
             for a, b, c in birmod.ops._maps(pos):
                 u = list(codes[i])
@@ -901,10 +915,87 @@ def test_certificate_checks_every_map_of_each_generator():
                 skewed = (lambda col, j=j: {v: 2 * m for v, m in
                                             lift(col).items()}
                           if col == j else lift(col))
-                assert not birmod.ops._commutes(source, [(i, pos)], L,
-                                                skewed), (n, N, i, pos)
+                assert not _commutes(maps, L, skewed), (n, N, i, pos)
                 checked += 1
     assert checked == 56
+
+
+def test_certificate_compares_in_place_and_sorts_only_a_mismatch(
+        monkeypatch):
+    # the real lift passes every map without sorting a side; a skew of the
+    # image of one reached code that moves one of its tuples, keeping the
+    # image's size, fails, as does one that adds a tuple; one that only
+    # reverses every tuple of that image passes, but only through _same
+    # once the arity is above 1.  An arity-1 cell checks its negation maps
+    sorted_calls = []
+
+    def spy(a, b, same=_same):
+        sorted_calls.append(1)
+        return same(a, b)
+
+    monkeypatch.setattr(birmod.ops, "_same", spy)
+    moved = reversed_ = 0
+    for n, N in ((1, 7), (2, 7), (3, 5)):
+        source = RelationMatrix(n, N, True)
+        L, codes = 2 * N, source.codes
+
+        def lift(j):
+            return _raw_rho(2, L, {tuple([2 * x for x in codes[j]]): 1})
+
+        for i, pos, _ in source._spanning_rows():
+            maps = _generator_maps(source, [(i, pos)])
+            sorted_calls.clear()
+            assert _commutes(maps, L, lift)
+            assert sorted_calls == []
+            for _, j, *_ in maps:
+                if j == i:
+                    continue
+                image = lift(j)
+                v = next(iter(image))
+                # v with its first entry shifted, so with another sum
+                moves = (((v[0] + s) % L,) + v[1:] for s in range(1, L))
+                w = next(u for u in moves if u not in image and any(u))
+                skew = {**image, w: image[v]}
+                del skew[v]
+                assert len(skew) == len(image)
+                assert not _commutes(
+                    maps, L, lambda col: skew if col == j else lift(col)), \
+                    (n, N, i, pos, w)
+                # every mapped tuple is still found in an image that grew
+                grown = {**image, w: 1}
+                assert not _commutes(
+                    maps, L, lambda col: grown if col == j else lift(col))
+                moved += 1
+                flipped = {u[::-1]: m for u, m in image.items()}
+                sorted_calls.clear()
+                assert _commutes(
+                    maps, L, lambda col: flipped if col == j else lift(col))
+                assert bool(sorted_calls) == (flipped != image)
+                reversed_ += flipped != image
+    assert moved and reversed_
+
+
+def test_descent_builds_generator_maps_once_per_call(monkeypatch):
+    # the maps of the source's generators do not depend on the level or
+    # the operator: each call builds them once for all its (k, operator)
+    # jobs, whether the certificate holds or fails
+    built = []
+
+    def counting(source, generators, maps=_generator_maps):
+        built.append((source.n, source.N, source.minus))
+        return maps(source, generators)
+
+    monkeypatch.setattr(birmod.ops, "_generator_maps", counting)
+    cells = [(n, N, minus) for n in (1, 2, 3) for N in (2, 5, 6)
+             for minus in (False, True)]
+    for cell in cells:
+        assert descent_failures(*cell, (2, 3, 4)) == []
+    assert built == cells
+    monkeypatch.setattr(birmod.ops, "_raw_sigma",
+                        _skewed(birmod.ops._raw_sigma, _SKEWS["_raw_sigma"]))
+    built.clear()
+    assert descent_failures(2, 5, False, (2, 3)) != []
+    assert built == [(2, 5, False)]
 
 
 def test_law_expansions_count_integers(monkeypatch):
